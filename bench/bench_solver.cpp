@@ -41,9 +41,7 @@
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "scenario/pattern.h"
 #include "sim/experiment.h"
-#include "solver/batch.h"
 #include "solver/simplex.h"
 #include "workload/traffic_matrix.h"
 
@@ -208,259 +206,6 @@ int run_obs_overhead(int reps) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// Batched lockstep backend cases (schema v4 addendum). Each batch_* case
-// runs the same scenario-heavy precompute end-to-end twice per rep — once
-// with the serial backend (one solve_lp / solve_milp per instance, the
-// pre-batch path) and once with SolveBackend::kBatched — on identical
-// inputs, and aborts unless the two agree to 1e-6. speedup_vs_serial is
-// what the CI bench-smoke leg gates on.
-
-double relative_gap(double a, double b) {
-  return std::abs(a - b) / std::max({1.0, std::abs(a), std::abs(b)});
-}
-
-void push_batch_case(BenchReport& report, const std::string& name,
-                     std::vector<double> serial_ms,
-                     std::vector<double> batch_ms, const BatchStats& stats) {
-  const double serial_median = quantile(serial_ms, 0.5);
-  const double batch_median = quantile(batch_ms, 0.5);
-  const double speedup =
-      batch_median > 0.0 ? serial_median / batch_median : 0.0;
-  const double fallback_pct =
-      stats.instances > 0
-          ? 100.0 * static_cast<double>(stats.fallbacks) /
-                static_cast<double>(stats.instances)
-          : 0.0;
-  std::printf("%-24s %10.3f %10.3f %10s %9.1fx %8ld %10ld %5.1f%%\n",
-              name.c_str(), batch_median, serial_median, "", speedup,
-              stats.lanes, stats.lockstep_iterations, fallback_pct);
-  BenchCase c;
-  c.name = name;
-  c.metrics = {
-      {"serial_median_ms", serial_median},
-      {"batch_median_ms", batch_median},
-      {"speedup_vs_serial", speedup},
-      {"instances", static_cast<double>(stats.instances)},
-      {"lanes", static_cast<double>(stats.lanes)},
-      {"lockstep_iterations", static_cast<double>(stats.lockstep_iterations)},
-      {"batched_optimal", static_cast<double>(stats.batched_optimal)},
-      {"fallbacks", static_cast<double>(stats.fallbacks)},
-      {"fallback_pct", fallback_pct},
-  };
-  report.cases.push_back(std::move(c));
-}
-
-/// Scheduler scenario precompute: the per-(pair, pattern) capability LPs at
-/// pruning depth y, serial vs batched on identical distributions.
-int run_batch_sched_case(BenchReport& report, const char* name, Topology topo,
-                         int y, int reps) {
-  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
-  std::vector<PatternDistribution> dists;
-  dists.reserve(static_cast<std::size_t>(catalog.pair_count()));
-  for (int p = 0; p < catalog.pair_count(); ++p) {
-    dists.push_back(pruned_patterns(topo, catalog.tunnels(p), y));
-  }
-
-  const SimplexOptions serial_lp;
-  SimplexOptions batch_lp;
-  batch_lp.backend = SolveBackend::kBatched;
-
-  // Warm both arms once and check equivalence on the full capability table.
-  const auto want =
-      precompute_pattern_capabilities(topo, catalog, dists, serial_lp);
-  BatchStats stats;
-  const auto got =
-      precompute_pattern_capabilities(topo, catalog, dists, batch_lp, &stats);
-  for (std::size_t p = 0; p < want.size(); ++p) {
-    for (std::size_t s = 0; s < want[p].size(); ++s) {
-      if (relative_gap(want[p][s], got[p][s]) > 1e-6) {
-        std::fprintf(stderr,
-                     "bench_solver: %s: capability mismatch pair %zu "
-                     "pattern %zu serial=%.9g batched=%.9g\n",
-                     name, p, s, want[p][s], got[p][s]);
-        return 1;
-      }
-    }
-  }
-
-  std::vector<double> serial_ms;
-  std::vector<double> batch_ms;
-  for (int r = 0; r < reps; ++r) {
-    auto t0 = std::chrono::steady_clock::now();
-    precompute_pattern_capabilities(topo, catalog, dists, serial_lp);
-    auto t1 = std::chrono::steady_clock::now();
-    serial_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-    t0 = std::chrono::steady_clock::now();
-    precompute_pattern_capabilities(topo, catalog, dists, batch_lp);
-    t1 = std::chrono::steady_clock::now();
-    batch_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  push_batch_case(report, name, std::move(serial_ms), std::move(batch_ms),
-                  stats);
-  return 0;
-}
-
-/// BackupPlanner::precompute with optimal plans: the batched backend solves
-/// the round's LP relaxations in lockstep and only falls back to branch &
-/// bound on fractional roots; the serial backend is the pre-batch path (one
-/// MILP per failure set). A fresh planner per rep keeps both arms cold (no
-/// cross-rep basis chaining).
-int run_batch_recovery_case(BenchReport& report, const char* name,
-                            Topology topo, int demand_count,
-                            std::uint64_t seed, double scale, int reps) {
-  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
-  auto demands = bench::seeded_demands(catalog, topo, demand_count, seed, 2.0,
-                                       10.0);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    demands[i].refund_fraction = 0.2 + 0.15 * static_cast<double>(i % 5);
-    for (auto& p : demands[i].pairs) p.mbps *= scale;
-  }
-  // Even spread across each pair's tunnels: precompute() only reads
-  // `current` to find the loaded links, and this marks every member link.
-  std::vector<Allocation> current;
-  current.reserve(demands.size());
-  for (const Demand& d : demands) {
-    Allocation a;
-    for (const auto& pr : d.pairs) {
-      const auto tunnels = catalog.tunnels(pr.pair);
-      const double share =
-          pr.mbps / static_cast<double>(std::max<std::size_t>(
-                        std::size_t{1}, tunnels.size()));
-      a.emplace_back(tunnels.size(), share);
-    }
-    current.push_back(std::move(a));
-  }
-
-  const BranchBoundOptions serial_opt;
-  BranchBoundOptions batch_opt;
-  batch_opt.lp.backend = SolveBackend::kBatched;
-  const int concurrent_pairs = 12;
-
-  // Equivalence: the two backends must produce the same plan set with the
-  // same retained profit (plans themselves may differ between co-optimal
-  // vertices).
-  {
-    BackupPlanner sp(topo, catalog, concurrent_pairs);
-    sp.use_optimal_plans(serial_opt);
-    sp.precompute(demands, current);
-    BackupPlanner bp(topo, catalog, concurrent_pairs);
-    bp.use_optimal_plans(batch_opt);
-    bp.precompute(demands, current);
-    if (sp.plan_count() != bp.plan_count()) {
-      std::fprintf(stderr, "bench_solver: %s: plan count %zu vs %zu\n", name,
-                   sp.plan_count(), bp.plan_count());
-      return 1;
-    }
-    for (LinkId e = 0; e < topo.link_count(); ++e) {
-      const RecoveryResult* a = sp.plan(e);
-      const RecoveryResult* b = bp.plan(e);
-      if ((a == nullptr) != (b == nullptr)) {
-        std::fprintf(stderr, "bench_solver: %s: link %d plan presence differs\n",
-                     name, e);
-        return 1;
-      }
-      if (a && (a->solved != b->solved ||
-                relative_gap(a->profit, b->profit) > 1e-6)) {
-        std::fprintf(stderr,
-                     "bench_solver: %s: link %d profit serial=%.9g "
-                     "batched=%.9g\n",
-                     name, e, a->profit, b->profit);
-        return 1;
-      }
-    }
-  }
-
-  auto& reg = obs::Registry::global();
-  std::vector<double> serial_ms;
-  std::vector<double> batch_ms;
-  BatchStats stats;
-  for (int r = 0; r < reps; ++r) {
-    {
-      BackupPlanner p(topo, catalog, concurrent_pairs);
-      p.use_optimal_plans(serial_opt);
-      const auto t0 = std::chrono::steady_clock::now();
-      p.precompute(demands, current);
-      const auto t1 = std::chrono::steady_clock::now();
-      serial_ms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    {
-      BackupPlanner p(topo, catalog, concurrent_pairs);
-      p.use_optimal_plans(batch_opt);
-      const long i0 = reg.counter("bate_batch_instances_total").value();
-      const long l0 = reg.counter("bate_batch_lanes_total").value();
-      const long s0 =
-          reg.counter("bate_batch_lockstep_iterations_total").value();
-      const long f0 = reg.counter("bate_batch_fallbacks_total").value();
-      const auto t0 = std::chrono::steady_clock::now();
-      p.precompute(demands, current);
-      const auto t1 = std::chrono::steady_clock::now();
-      batch_ms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-      if (r == reps - 1) {
-        // The planner does not surface BatchStats; recover the round's
-        // counters from the registry deltas (every lane is either a
-        // verified optimum or a fallback).
-        stats.instances =
-            reg.counter("bate_batch_instances_total").value() - i0;
-        stats.lanes = reg.counter("bate_batch_lanes_total").value() - l0;
-        stats.lockstep_iterations =
-            reg.counter("bate_batch_lockstep_iterations_total").value() - s0;
-        stats.fallbacks =
-            reg.counter("bate_batch_fallbacks_total").value() - f0;
-        stats.batched_optimal = stats.lanes - stats.fallbacks;
-      }
-    }
-  }
-  push_batch_case(report, name, std::move(serial_ms), std::move(batch_ms),
-                  stats);
-  return 0;
-}
-
-int run_batch_cases(BenchReport& report, int reps) {
-  std::printf("%-24s %10s %10s %10s %10s %8s %10s %8s\n", "batch case",
-              "batch_ms", "serial_ms", "", "speedup", "lanes", "iters",
-              "fallback");
-  struct SchedSpec {
-    const char* name;
-    Topology topo;
-    int y;
-  };
-  std::vector<SchedSpec> specs;
-  specs.push_back({"batch_sched_b4_y3", b4(), 3});
-  specs.push_back({"batch_sched_b4_y4", b4(), 4});
-  specs.push_back({"batch_sched_b4_y5", b4(), 5});
-  specs.push_back({"batch_sched_ibm_y3", ibm(), 3});
-  specs.push_back({"batch_sched_ibm_y4", ibm(), 4});
-  specs.push_back({"batch_sched_ibm_y5", ibm(), 5});
-  for (auto& s : specs) {
-    if (run_batch_sched_case(report, s.name, std::move(s.topo), s.y, reps)) {
-      return 1;
-    }
-  }
-  // Scale 4 is the planning regime the batched path targets: surviving
-  // capacity binds enough that the serial MILPs take real work, while the
-  // LP roots stay integral so batched rounds skip branch & bound. (Scaling
-  // to bench_milp's 10-24x makes most roots fractional — both arms then
-  // run the same MILPs and the comparison measures nothing.)
-  if (run_batch_recovery_case(report, "batch_recovery_testbed6", testbed6(),
-                              24, 4243, 4.0, reps)) {
-    return 1;
-  }
-  if (run_batch_recovery_case(report, "batch_recovery_b4", b4(), 23, 4244,
-                              4.0, reps)) {
-    return 1;
-  }
-  if (run_batch_recovery_case(report, "batch_recovery_ibm", ibm(), 24, 4251,
-                              4.0, reps)) {
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -604,8 +349,6 @@ int main(int argc, char** argv) {
     };
     report.cases.push_back(std::move(c));
   }
-
-  if (run_batch_cases(report, reps)) return 1;
 
   // Schema v3: embed the registry view of one representative scheduling
   // solve (the first instance, re-solved against a freshly reset registry so

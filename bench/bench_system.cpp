@@ -3,28 +3,16 @@
 // epoll, per-tenant queueing, the batched admission drain, reply batching
 // and the allocation broadcast to brokers (DESIGN.md Sec 10).
 //
-// Two cases share the topology and workload shape:
+// The churn case drives the pipeline: N tiny demands (90% best-effort
+// beta=0, 10% beta=0.9) pipelined from 4 tenant clients with a 256-deep
+// window each; the controller drains whole batches per tick with
+// reschedule_after_batch / precompute_backup off (the high-churn
+// configuration, where greedy admissions delta-broadcast and the solve cost
+// stays O(arrival)). Reports sustained admissions/sec and the
+// controller-side p50/p99 reply latency from the obs registry histogram
+// (bate_admission_reply_latency_us).
 //
-//  * batched — the pipeline under churn: N tiny demands (90% best-effort
-//    beta=0, 10% beta=0.9) pipelined from 4 tenant clients with a 256-deep
-//    window each; the controller drains whole batches per tick with
-//    reschedule_after_batch / precompute_backup off (the high-churn
-//    configuration, where greedy admissions delta-broadcast and the solve
-//    cost stays O(arrival)). Reports sustained admissions/sec and the
-//    controller-side p50/p99 reply latency from the obs registry histogram
-//    (bate_admission_reply_latency_us).
-//  * serial — the pre-pipeline baseline: batch_admission=false, so every
-//    SubmitDemand is admitted inline with its own scheduling round and full
-//    broadcast. Run on far fewer arrivals (the per-request round grows with
-//    the admitted set); its throughput is reported as
-//    serial_admissions_per_sec so the CI floor on admissions_per_sec gates
-//    only the pipeline case.
-//
-// The batched case's speedup_vs_serial divides the two rates; ISSUE 9
-// acceptance pins it >= 5x and admissions/sec >= 50k at the committed
-// BENCH_system.json scale.
-//
-// A third case exercises the availability-SLO ledger (ISSUE 10):
+// A second case exercises the availability-SLO ledger:
 //
 //  * slo — chaos run: demands admitted through the pipeline, then brokers
 //    flap links down/up while the controller's ledger accrues degraded /
@@ -36,7 +24,7 @@
 //    (slo_crosscheck_max_abs_err).
 //
 // Usage:
-//   bench_system [--arrivals N] [--serial-arrivals N] [--slo-arrivals N]
+//   bench_system [--arrivals N] [--slo-arrivals N]
 //                [--reps N] [--out BENCH_system.json] [--validate FILE]
 //                [--serve SEC --port-file PATH]
 //
@@ -75,8 +63,8 @@ constexpr int kClients = 4;
 constexpr std::size_t kWindow = 256;
 
 /// Tiny churn demand: one pair, 0.01 Mbps, 90% best-effort / 10% with a
-/// 0.9 availability target. Deterministic in `i` so every run (and the
-/// serial baseline) sees the same arrival mix.
+/// 0.9 availability target. Deterministic in `i` so every run sees the
+/// same arrival mix.
 Demand churn_demand(int i, int pair_count) {
   Demand d;
   d.id = i + 1;
@@ -101,14 +89,13 @@ struct CaseResult {
 /// across `clients` tenant connections. The registry is reset before the
 /// run so the reply-latency histogram holds exactly this case's samples.
 CaseResult run_case(const Topology& topo, const TunnelCatalog& catalog,
-                    int arrivals, int clients, bool batch) {
+                    int arrivals, int clients) {
   // Scoped so this case neither sees earlier cases' histogram samples nor
   // leaks its own into the slo case's coverage check.
   const obs::ScopedRegistryReset reset_registry;
 
   ControllerConfig cfg;
   cfg.tick_ms = 1;
-  cfg.batch_admission = batch;
   cfg.max_queue = 1 << 15;
   cfg.reschedule_after_batch = false;
   cfg.precompute_backup = false;
@@ -197,7 +184,6 @@ Demand slo_demand(int i, int pair_count) {
 ControllerConfig slo_controller_config() {
   ControllerConfig cfg;
   cfg.tick_ms = 1;
-  cfg.batch_admission = true;
   cfg.max_queue = 1 << 15;
   cfg.reschedule_after_batch = false;
   // Fast sampling so even the short chaos run lands ring-buffer points for
@@ -427,7 +413,6 @@ int serve_stack(const Topology& topo, const TunnelCatalog& catalog,
 
 int main(int argc, char** argv) {
   int arrivals = 100000;
-  int serial_arrivals = 400;
   int slo_arrivals = 1500;
   int reps = 1;
   int serve_s = 0;
@@ -436,8 +421,6 @@ int main(int argc, char** argv) {
   for (int a = 1; a < argc; ++a) {
     if (std::strcmp(argv[a], "--arrivals") == 0 && a + 1 < argc) {
       arrivals = std::atoi(argv[++a]);
-    } else if (std::strcmp(argv[a], "--serial-arrivals") == 0 && a + 1 < argc) {
-      serial_arrivals = std::atoi(argv[++a]);
     } else if (std::strcmp(argv[a], "--slo-arrivals") == 0 && a + 1 < argc) {
       slo_arrivals = std::atoi(argv[++a]);
     } else if (std::strcmp(argv[a], "--reps") == 0 && a + 1 < argc) {
@@ -459,14 +442,13 @@ int main(int argc, char** argv) {
       return 0;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_system [--arrivals N] [--serial-arrivals N] "
+                   "usage: bench_system [--arrivals N] "
                    "[--slo-arrivals N] [--reps N] [--out FILE] "
                    "[--validate FILE] [--serve SEC --port-file PATH]\n");
       return 2;
     }
   }
   if (arrivals < 1) arrivals = 1;
-  if (serial_arrivals < 1) serial_arrivals = 1;
   if (slo_arrivals < 1) slo_arrivals = 1;
   if (reps < 1) reps = 1;
 
@@ -482,12 +464,11 @@ int main(int argc, char** argv) {
     return serve_stack(topo, catalog, slo_arrivals, serve_s, port_file);
   }
 
-  // Best-of-reps for the batched case (the serial baseline is long enough
-  // per rep that one run is representative, and its cost dominates).
+  // Best-of-reps for the churn case.
   CaseResult batched;
   double best_rate = -1.0;
   for (int r = 0; r < reps; ++r) {
-    const CaseResult cur = run_case(topo, catalog, arrivals, kClients, true);
+    const CaseResult cur = run_case(topo, catalog, arrivals, kClients);
     const double rate =
         cur.elapsed_s > 0.0 ? cur.admitted / cur.elapsed_s : 0.0;
     if (rate > best_rate) {
@@ -495,8 +476,6 @@ int main(int argc, char** argv) {
       batched = cur;
     }
   }
-  const CaseResult serial =
-      run_case(topo, catalog, serial_arrivals, 1, false);
   const SloCaseResult slo = run_slo_case(topo, catalog, slo_arrivals);
   if (!slo.ok) {
     std::fprintf(stderr, "bench_system: slo case FAILED: %s\n",
@@ -508,20 +487,12 @@ int main(int argc, char** argv) {
       batched.elapsed_s > 0.0 ? batched.admitted / batched.elapsed_s : 0.0;
   const double arrivals_per_sec =
       batched.elapsed_s > 0.0 ? arrivals / batched.elapsed_s : 0.0;
-  const double serial_rate =
-      serial.elapsed_s > 0.0 ? serial.admitted / serial.elapsed_s : 0.0;
-  const double speedup =
-      serial_rate > 0.0 ? admissions_per_sec / serial_rate : 0.0;
 
   std::printf("%-10s %9s %10s %10s %8s %12s %12s\n", "case", "arrivals",
               "admitted", "adm/s", "shed", "p50_us", "p99_us");
   std::printf("%-10s %9d %10ld %10.0f %8ld %12.0f %12.0f\n", "batched",
               arrivals, batched.admitted, admissions_per_sec, batched.shed,
               batched.p50_reply_us, batched.p99_reply_us);
-  std::printf("%-10s %9d %10ld %10.0f %8ld %12.0f %12.0f\n", "serial",
-              serial_arrivals, serial.admitted, serial_rate, serial.shed,
-              serial.p50_reply_us, serial.p99_reply_us);
-  std::printf("speedup vs serial: %.1fx\n", speedup);
   std::printf(
       "slo: %ld demands, %ld degraded at least once, crosscheck max err "
       "%.3g, availability min %.6f mean %.6f, worst burn %.3f\n",
@@ -544,24 +515,6 @@ int main(int argc, char** argv) {
         {"arrivals_per_sec", arrivals_per_sec},
         {"p50_reply_us", batched.p50_reply_us},
         {"p99_reply_us", batched.p99_reply_us},
-        {"speedup_vs_serial", speedup},
-    };
-    report.cases.push_back(std::move(c));
-  }
-  {
-    BenchCase c;
-    // Deliberately does NOT carry admissions_per_sec / p99_reply_us: the
-    // CI floor and ceiling must gate the pipeline case only.
-    c.name = "churn_testbed6_serial";
-    c.metrics = {
-        {"arrivals", static_cast<double>(serial_arrivals)},
-        {"clients", 1.0},
-        {"admitted", static_cast<double>(serial.admitted)},
-        {"rejected", static_cast<double>(serial.rejected)},
-        {"elapsed_s", serial.elapsed_s},
-        {"serial_admissions_per_sec", serial_rate},
-        {"serial_p50_reply_us", serial.p50_reply_us},
-        {"serial_p99_reply_us", serial.p99_reply_us},
     };
     report.cases.push_back(std::move(c));
   }

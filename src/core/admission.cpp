@@ -253,59 +253,23 @@ namespace {
 /// Builds the Appendix-A feasibility MILP. `layout`, when non-null, receives
 /// (first_var, tunnel_count) per (demand, pair position), flattened
 /// pair-major in demand order.
-///
-/// Demands [0, hard_count) are committed: their rows are hard, exactly the
-/// original Appendix-A model. Demands [hard_count, size) are batch
-/// candidates: each gets an admit binary a_j gating its bandwidth and
-/// availability rows, and the objective pays a reward for a_j = 1 that
-/// dominates any possible allocation-cost change, so the optimum admits a
-/// maximum-cardinality subset with an FCFS tie-break (earlier candidates
-/// carry a slightly larger reward; the tie-break sum stays below one
-/// cardinality step). In batch mode every g is capped at 1.0 — WLOG, since
-/// every row a g appears in with positive sign has rhs <= its scale — which
-/// makes the reward constant finite. `admit_vars` receives the a_j columns.
 Model build_admission_model_impl(const TrafficScheduler& scheduler,
                                  std::span<const Demand> demands,
-                                 std::size_t hard_count,
-                                 std::vector<std::pair<int, int>>* layout,
-                                 std::vector<int>* admit_vars) {
+                                 std::vector<std::pair<int, int>>* layout) {
   const Topology& topo = scheduler.topology();
   const TunnelCatalog& catalog = scheduler.catalog();
-  const bool batch = hard_count < demands.size();
 
   Model model;
   model.set_sense(Sense::kMinimize);
-
-  double reward = 0.0;
-  if (batch) {
-    double gcost_bound = 0.0;  // total g-cost with every g at its cap of 1
-    for (const Demand& d : demands) {
-      for (const PairDemand& pd : d.pairs) {
-        gcost_bound += static_cast<double>(catalog.tunnels(pd.pair).size()) *
-                       pd.mbps * 1.01;
-      }
-    }
-    reward = 2.0 * (gcost_bound + 1.0);
-  }
-  const auto ncand = static_cast<double>(demands.size() - hard_count);
-  if (admit_vars) admit_vars->clear();
 
   struct PairVars {
     int first_var = -1;
     int tunnel_count = 0;
   };
   std::vector<std::vector<PairVars>> gvars(demands.size());
-  std::vector<int> avar(demands.size(), -1);
   if (layout) layout->clear();
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
-    if (i >= hard_count) {
-      const double fcfs =
-          reward * (ncand - static_cast<double>(i - hard_count)) /
-          (2.0 * ncand * ncand);
-      avar[i] = model.add_binary(-(reward + fcfs));
-      if (admit_vars) admit_vars->push_back(avar[i]);
-    }
     gvars[i].resize(d.pairs.size());
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const int tn =
@@ -318,19 +282,13 @@ Model build_admission_model_impl(const TrafficScheduler& scheduler,
         // which the presolve check below then accepts without branching.
         const double avail =
             tunnels[static_cast<std::size_t>(t)].availability(topo);
-        model.add_variable(0.0, batch ? 1.0 : kInfinity,
+        model.add_variable(0.0, kInfinity,
                            d.pairs[p].mbps * (1.0 + 0.01 * (1.0 - avail)));
       }
-      // Full bandwidth in the failure-free state (matches constraint (1));
-      // for a candidate the requirement is gated by its admit binary.
+      // Full bandwidth in the failure-free state (matches constraint (1)).
       std::vector<Term> row;
       for (int t = 0; t < tn; ++t) row.push_back({gvars[i][p].first_var + t, 1.0});
-      if (avar[i] >= 0) {
-        row.push_back({avar[i], -1.0});
-        model.add_constraint(std::move(row), Relation::kGreaterEqual, 0.0);
-      } else {
-        model.add_constraint(std::move(row), Relation::kGreaterEqual, 1.0);
-      }
+      model.add_constraint(std::move(row), Relation::kGreaterEqual, 1.0);
       if (layout) {
         layout->push_back({gvars[i][p].first_var, gvars[i][p].tunnel_count});
       }
@@ -378,18 +336,10 @@ Model build_admission_model_impl(const TrafficScheduler& scheduler,
         }
       }
     }
-    // (15)/(16): sum_S p_S q_S >= beta_d, with a_d forced to 1 for committed
-    // demands and a free binary gating the row for batch candidates.
-    if (avar[i] >= 0) {
-      avail_row.push_back(
-          {avar[i], -d.availability_target *
-                        availability_row_scale(d.availability_target)});
-      model.add_constraint(std::move(avail_row), Relation::kGreaterEqual, 0.0);
-    } else {
-      model.add_constraint(std::move(avail_row), Relation::kGreaterEqual,
-                           d.availability_target *
-                               availability_row_scale(d.availability_target));
-    }
+    // (15)/(16): sum_S p_S q_S >= beta_d.
+    model.add_constraint(std::move(avail_row), Relation::kGreaterEqual,
+                         d.availability_target *
+                             availability_row_scale(d.availability_target));
   }
 
   // Capacity rows.
@@ -421,54 +371,14 @@ Model build_admission_model_impl(const TrafficScheduler& scheduler,
 
 Model build_admission_model(const TrafficScheduler& scheduler,
                             std::span<const Demand> demands) {
-  return build_admission_model_impl(scheduler, demands, demands.size(),
-                                    nullptr, nullptr);
-}
-
-Model build_batch_admission_model(const TrafficScheduler& scheduler,
-                                  std::span<const Demand> committed,
-                                  std::span<const Demand> candidates,
-                                  std::vector<int>* admit_vars) {
-  std::vector<Demand> all(committed.begin(), committed.end());
-  all.insert(all.end(), candidates.begin(), candidates.end());
-  return build_admission_model_impl(scheduler, all, committed.size(), nullptr,
-                                    admit_vars);
-}
-
-BatchAdmissionVerdicts batch_admission_check(
-    const TrafficScheduler& scheduler, std::span<const Demand> committed,
-    std::span<const Demand> candidates, const BranchBoundOptions& options,
-    WarmStart* warm) {
-  BatchAdmissionVerdicts v;
-  v.admit.assign(candidates.size(), false);
-  if (candidates.empty()) {
-    v.proven = true;
-    return v;
-  }
-  for (const Demand& d : candidates) validate_demand(scheduler.catalog(), d);
-  std::vector<int> avars;
-  const Model model =
-      build_batch_admission_model(scheduler, committed, candidates, &avars);
-  // Must run to proven optimality: the model is always feasible (all admit
-  // binaries at 0), so a first-incumbent stop would reject everyone.
-  BranchBoundOptions run = options;
-  run.stop_at_first_incumbent = false;
-  const Solution sol = solve_milp(model, run, warm);
-  if (sol.status != SolveStatus::kOptimal || sol.x.empty()) return v;
-  v.proven = true;
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    v.admit[j] = sol.x[static_cast<std::size_t>(avars[j])] > 0.5;
-  }
-  return v;
+  return build_admission_model_impl(scheduler, demands, nullptr);
 }
 
 bool optimal_admission_check(const TrafficScheduler& scheduler,
                              std::span<const Demand> demands,
                              const BranchBoundOptions& options) {
   std::vector<std::pair<int, int>> layout;
-  const Model model = build_admission_model_impl(scheduler, demands,
-                                                 demands.size(), &layout,
-                                                 nullptr);
+  const Model model = build_admission_model_impl(scheduler, demands, &layout);
 
   // Presolve at the root: the LP relaxation is a relaxation of the hard
   // MILP, so LP-infeasible proves rejection; and if the relaxation's g
@@ -719,69 +629,12 @@ AdmissionOutcome AdmissionController::offer(const Demand& demand) {
   return offer_one(demand, residual, &rescheduled);
 }
 
-std::optional<BatchAdmissionOutcome> AdmissionController::offer_batch_optimal(
-    std::span<const Demand> demands) {
-  const std::int64_t start_us = obs::now_us();
-  const BatchAdmissionVerdicts verdicts = batch_admission_check(
-      *scheduler_, admitted_, demands, optimal_options_, &batch_warm_);
-  if (!verdicts.proven) return std::nullopt;
-
-  BatchAdmissionOutcome out;
-  std::vector<double> residual = residual_capacity();
-  bool any_admitted = false;
-  for (std::size_t j = 0; j < demands.size(); ++j) {
-    AdmissionOutcome o;
-    o.admitted = verdicts.admit[j];
-    if (o.admitted) {
-      const Demand& d = demands[j];
-      // Temporary allocation until the post-batch reschedule; the MILP
-      // proved joint feasibility, so the greedy walk failing (partial
-      // residual view) only delays the rates to the reschedule below.
-      Allocation temp(d.pairs.size());
-      for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-        temp[p].assign(
-            scheduler_->catalog().tunnels(d.pairs[p].pair).size(), 0.0);
-      }
-      auto full = greedy_allocate(scheduler_->topology(),
-                                  scheduler_->catalog(), d, residual);
-      if (full) temp = std::move(*full);
-      admitted_.push_back(d);
-      allocations_.push_back(std::move(temp));
-      any_admitted = true;
-    }
-    out.outcomes.push_back(o);
-  }
-  // One solve decided the whole batch; report the amortized per-demand
-  // latency so the decision histogram stays comparable with serial offers.
-  const std::int64_t per_demand_us =
-      (obs::now_us() - start_us) / static_cast<std::int64_t>(demands.size());
-  for (AdmissionOutcome& o : out.outcomes) {
-    o.decision_seconds = static_cast<double>(per_demand_us) * 1e-6;
-    record_admission(strategy_, o, per_demand_us);
-  }
-  if (any_admitted) {
-    reschedule();
-    out.rescheduled = true;
-  }
-  return out;
-}
-
 BatchAdmissionOutcome AdmissionController::offer_batch(
     std::span<const Demand> demands) {
   BatchAdmissionOutcome out;
   out.first_new_index = admitted_.size();
   if (demands.empty()) return out;
   BATE_TRACE_SPAN("admission.offer_batch");
-
-  if (strategy_ == AdmissionStrategy::kOptimal && demands.size() > 1) {
-    for (const Demand& d : demands) validate_demand(scheduler_->catalog(), d);
-    if (auto batched = offer_batch_optimal(demands)) {
-      batched->first_new_index = out.first_new_index;
-      return std::move(*batched);
-    }
-    // Budget exhausted before the MILP was proven: fall through to the
-    // serial walk, which matches order-of-arrival semantics exactly.
-  }
 
   std::vector<double> residual = residual_capacity();
   out.outcomes.reserve(demands.size());

@@ -54,38 +54,6 @@ bool optimal_admission_check(const TrafficScheduler& scheduler,
 Model build_admission_model(const TrafficScheduler& scheduler,
                             std::span<const Demand> demands);
 
-/// Batched variant of the Appendix-A model for the controller's tick loop:
-/// `committed` demands keep their hard rows (they were already admitted and
-/// must stay feasible), while every candidate j gets an admit binary a_j
-/// gating its bandwidth and availability rows. The objective rewards each
-/// admitted candidate far beyond any allocation cost — so the optimum is a
-/// maximum-cardinality admissible subset — with an FCFS-weighted tie-break
-/// favouring earlier arrivals among equal-cardinality subsets. The model is
-/// always feasible (all a_j = 0 recovers the committed-only model).
-/// `admit_vars`, when non-null, receives the a_j column indices in candidate
-/// order.
-Model build_batch_admission_model(const TrafficScheduler& scheduler,
-                                  std::span<const Demand> committed,
-                                  std::span<const Demand> candidates,
-                                  std::vector<int>* admit_vars = nullptr);
-
-/// Per-candidate verdicts of one batched admission MILP solve.
-struct BatchAdmissionVerdicts {
-  /// True when branch & bound proved optimality within budget; verdicts are
-  /// only meaningful then (callers fall back to the serial walk otherwise).
-  bool proven = false;
-  std::vector<bool> admit;  // one per candidate, in candidate order
-};
-
-/// Solves the batched admission MILP to optimality. `warm`, when non-null,
-/// chains the root basis across ticks (stale bases fall back to a cold
-/// solve inside the simplex, so reuse across differently-shaped batches is
-/// safe).
-BatchAdmissionVerdicts batch_admission_check(
-    const TrafficScheduler& scheduler, std::span<const Demand> committed,
-    std::span<const Demand> candidates, const BranchBoundOptions& options = {},
-    WarmStart* warm = nullptr);
-
 /// Greedy single-demand allocation against residual link capacities, the
 /// inner loop of Algorithm 1 (also used for temporary allocations). Returns
 /// nullopt when the residual capacity cannot carry the demand. `residual` is
@@ -141,15 +109,9 @@ class AdmissionController {
   /// Offers a new demand; admits or rejects per the strategy.
   AdmissionOutcome offer(const Demand& demand);
   /// Offers a whole tick's queue FCFS. Per-demand verdicts equal a serial
-  /// offer() loop whenever the serial loop would admit every demand (and for
-  /// kFixed/kBate always — their batch path IS the serial walk, sharing one
-  /// incrementally maintained residual instead of recomputing it per offer,
-  /// which is what removes the O(admitted) term per decision). Under
-  /// kOptimal an all-or-nothing-free batched MILP (one admit binary per
-  /// demand) decides the whole queue in a single warm-started solve; when
-  /// the batch is not jointly feasible it picks the maximum-cardinality
-  /// FCFS-weighted subset, which may diverge from strict order-of-arrival
-  /// (DESIGN.md Sec 10).
+  /// offer() loop for every strategy: the batch path IS the serial walk,
+  /// sharing one incrementally maintained residual instead of recomputing
+  /// it per offer, which is what removes the O(admitted) term per decision.
   BatchAdmissionOutcome offer_batch(std::span<const Demand> demands);
   /// Removes a departed demand.
   void remove(DemandId id);
@@ -176,11 +138,6 @@ class AdmissionController {
   AdmissionOutcome offer_one(const Demand& demand,
                              std::vector<double>& residual, bool* rescheduled);
   bool try_fixed(const Demand& demand, std::vector<double>& residual);
-  /// kOptimal batch shortcut: one MILP over the whole queue. nullopt when
-  /// the solve was not proven within budget (caller falls back to the
-  /// serial walk).
-  std::optional<BatchAdmissionOutcome> offer_batch_optimal(
-      std::span<const Demand> demands);
 
   const TrafficScheduler* scheduler_;
   AdmissionStrategy strategy_;
@@ -189,8 +146,6 @@ class AdmissionController {
   std::vector<Allocation> allocations_;
   /// Basis chained across reschedule() calls (see ScheduleBasisCache).
   ScheduleBasisCache sched_basis_;
-  /// Root basis chained across offer_batch_optimal ticks.
-  WarmStart batch_warm_;
 };
 
 }  // namespace bate

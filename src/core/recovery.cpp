@@ -1,7 +1,6 @@
 #include "core/recovery.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "obs/metrics.h"
@@ -197,30 +196,34 @@ RecoveryTemplate build_recovery_template(const Topology& topo,
   return tmpl;
 }
 
-InstanceDelta recovery_failure_delta(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links) {
+namespace {
+
+/// The template with `failed_links` applied: the g of every tunnel that
+/// crosses a failed link is fixed to [0, 0].
+Model recovery_instance(const RecoveryTemplate& tmpl,
+                        const TunnelCatalog& catalog,
+                        std::span<const Demand> demands,
+                        std::span<const LinkId> failed_links) {
   BATE_ASSERT_MSG(tmpl.gvar.size() == demands.size(),
                   "recovery: template does not match demand set");
-  InstanceDelta delta;
+  Model inst = tmpl.model;
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
       for (std::size_t t = 0; t < tunnels.size(); ++t) {
         if (tunnel_survives(tunnels[t], failed_links)) continue;
-        delta.bounds.push_back({tmpl.gvar[i][p][t], 0.0, 0.0});
+        Variable& g = inst.variable(tmpl.gvar[i][p][t]);
+        g.lower = 0.0;
+        g.upper = 0.0;
       }
     }
   }
-  return delta;
+  return inst;
 }
 
-namespace {
-
-/// Shared extraction for the batched and fallback paths: maps a solution in
-/// template space (g per tunnel, y per demand) to a RecoveryResult.
+/// Maps a solution in template space (g per tunnel, y per demand) to a
+/// RecoveryResult.
 RecoveryResult recovery_result_from(const RecoveryTemplate& tmpl,
                                     const TunnelCatalog& catalog,
                                     std::span<const Demand> demands,
@@ -250,18 +253,6 @@ RecoveryResult recovery_result_from(const RecoveryTemplate& tmpl,
   return result;
 }
 
-/// True when the LP relaxation already sits on an integral y vertex — that
-/// solution is then optimal for the MILP itself (the relaxation bound is
-/// attained), so the batched path can keep it without branch & bound.
-bool relaxation_integral(const RecoveryTemplate& tmpl, const Solution& sol) {
-  if (sol.status != SolveStatus::kOptimal) return false;
-  for (const int y : tmpl.yvar) {
-    const double v = sol.x[static_cast<std::size_t>(y)];
-    if (std::abs(v - std::round(v)) > 1e-6) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
@@ -270,9 +261,7 @@ RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
                                      std::span<const LinkId> failed_links,
                                      const BranchBoundOptions& options,
                                      WarmStart* warm) {
-  const InstanceDelta delta =
-      recovery_failure_delta(tmpl, catalog, demands, failed_links);
-  const Model inst = apply_delta(tmpl.model, delta);
+  const Model inst = recovery_instance(tmpl, catalog, demands, failed_links);
   const Solution sol = solve_milp(inst, options, warm);
   return recovery_result_from(tmpl, catalog, demands, sol);
 }
@@ -441,9 +430,8 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
   demands_.assign(demands.begin(), demands.end());
   plans_.clear();  // bases_ survives: it chains rounds (see header)
 
-  // Collect the round's failure sets first: the loaded single links, then
-  // the most probable loaded pairs — so the optimal path can hand the whole
-  // round to the batched backend at once.
+  // The round's failure sets: the loaded single links, then the most
+  // probable loaded pairs.
   const auto usage = link_usage(*topo_, *catalog_, demands, current);
   std::vector<LinkId> loaded;
   std::vector<std::vector<LinkId>> failure_sets;
@@ -471,8 +459,7 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
   }
 
   if (!optimal_) {
-    // Algorithm 2 is combinatorial — there is no LP to batch. One greedy
-    // pass per failure set.
+    // Algorithm 2: one greedy pass per failure set.
     for (const auto& failed : failure_sets) {
       plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_,
                                             failed));
@@ -481,47 +468,16 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
     return;
   }
 
-  // Optimal plans share one build-once template; each failure set is a
-  // bound delta against it (the satellite refactor both paths lean on).
+  // Optimal plans share one build-once template; each failure set fixes
+  // its dead tunnels against it.
   const RecoveryTemplate tmpl =
       build_recovery_template(*topo_, *catalog_, demands_);
-  std::vector<const std::vector<LinkId>*> pending;
-  if (optimal_options_.lp.backend == SolveBackend::kBatched) {
-    // Batch the whole round's LP relaxations through the lockstep backend.
-    // A relaxation that lands on an integral y vertex IS the MILP optimum
-    // (the bound is attained), so those failure sets finish without branch
-    // & bound; fractional roots fall through to the exact MILP below.
-    std::vector<InstanceDelta> deltas;
-    deltas.reserve(failure_sets.size());
-    for (const auto& failed : failure_sets) {
-      deltas.push_back(
-          recovery_failure_delta(tmpl, *catalog_, demands_, failed));
-    }
-    const std::vector<Solution> roots =
-        solve_lp_batch(tmpl.model, deltas, optimal_options_.lp);
-    for (std::size_t i = 0; i < failure_sets.size(); ++i) {
-      if (relaxation_integral(tmpl, roots[i])) {
-        plans_.emplace(failure_sets[i],
-                       recovery_result_from(tmpl, *catalog_, demands_,
-                                            roots[i]));
-      } else {
-        pending.push_back(&failure_sets[i]);
-      }
-    }
-  } else {
-    for (const auto& failed : failure_sets) pending.push_back(&failed);
-  }
-
-  // serial: branch & bound trees are per-failure-set (each set fixes a
-  // different tunnel pattern, and an incumbent from one set proves nothing
-  // about another), so MILP fallbacks cannot share lockstep lanes; the
-  // batched pass above already retired every integral-root set.
   // cold-start: the *first* round for a failure set has no basis yet; every
   // later round warm-starts from bases_[failed].
-  for (const std::vector<LinkId>* failed : pending) {
-    plans_.emplace(*failed,
-                   recover_with_template(tmpl, *catalog_, demands_, *failed,
-                                         optimal_options_, &bases_[*failed]));
+  for (const auto& failed : failure_sets) {
+    plans_.emplace(failed,
+                   recover_with_template(tmpl, *catalog_, demands_, failed,
+                                         optimal_options_, &bases_[failed]));
   }
   record_precompute(plans_.size(), obs::now_us() - t0);
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "routing/tunnels.h"
-#include "solver/batch.h"
 #include "solver/branch_bound.h"
 #include "topology/graph.h"
 #include "workload/demand.h"
@@ -58,13 +57,12 @@ Model build_recovery_model(const Topology& topo, const TunnelCatalog& catalog,
 
 /// Build-once form of the recovery MILP (12) for a fixed demand set: g
 /// variables for EVERY tunnel (not just survivors) and capacity rows for
-/// every used link at full capacity. A concrete failure set is expressed as
-/// an InstanceDelta (recovery_failure_delta) that fixes the g of each dead
-/// tunnel to zero; the failed links' capacity rows then only contain fixed
-/// columns and drop out in presolve. The optimum is identical to the
-/// per-failure model build_recovery_model produces — BackupPlanner used to
-/// rebuild that model from scratch for every failure set, and both its
-/// batched and MILP-fallback paths now share this template instead.
+/// every used link at full capacity. A concrete failure set is the template
+/// with the g of each dead tunnel fixed to [0, 0]; the failed links'
+/// capacity rows then only contain fixed columns and drop out in presolve.
+/// The optimum is identical to the per-failure model build_recovery_model
+/// produces, and BackupPlanner builds the template once per round instead
+/// of one model per failure set.
 struct RecoveryTemplate {
   Model model;
   /// gvar[demand][pair position][tunnel] = variable index.
@@ -77,14 +75,7 @@ RecoveryTemplate build_recovery_template(const Topology& topo,
                                          const TunnelCatalog& catalog,
                                          std::span<const Demand> demands);
 
-/// The delta expressing `failed_links` against the template: one bound edit
-/// per tunnel that crosses a failed link, fixing its g to [0, 0].
-InstanceDelta recovery_failure_delta(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links);
-
-/// Optimal recovery through the template: applies the failure delta and
+/// Optimal recovery through the template: fixes the dead tunnels and
 /// solves the MILP (same optimum as recover_optimal, without rebuilding the
 /// model). `warm` chains the root basis across calls exactly like
 /// recover_optimal — and because every failure set shares the template's

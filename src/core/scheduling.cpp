@@ -78,6 +78,75 @@ std::vector<Tunnel> joint_tunnels(const TunnelCatalog& catalog,
   return joint;
 }
 
+/// The per-(pair, pattern) scenario LPs behind pattern_capability(): for
+/// every pair, the max total flow the up tunnels of each positive-
+/// probability pattern carry against full link capacities (-1 for unsolved
+/// zero-probability patterns). Each pattern solves the all-tunnels-up
+/// template with its down tunnels fixed to [0, 0]; pairs run on the shared
+/// pool into pre-sized slots.
+std::vector<std::vector<double>> pattern_capabilities(
+    const Topology& topo, const TunnelCatalog& catalog,
+    std::span<const PatternDistribution> dists, const SimplexOptions& lp) {
+  BATE_ASSERT_MSG(dists.size() == static_cast<std::size_t>(catalog.pair_count()),
+                  "capability: distribution set does not match catalog");
+  const int pairs = catalog.pair_count();
+  std::vector<std::vector<double>> capability(static_cast<std::size_t>(pairs));
+  ThreadPool::shared().parallel_for(pairs, [&](int k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    const auto& tunnels = catalog.tunnels(k);
+    const PatternDistribution& dist = dists[sk];
+    auto& cap = capability[sk];
+    cap.assign(dist.prob.size(), -1.0);
+    if (cap.empty()) return;
+    cap[0] = 0.0;  // all tunnels down: nothing deliverable
+    // A tunnel without links would make the flow LP unbounded; leave the
+    // pair's capabilities unknown rather than fabricate a bound.
+    for (const Tunnel& t : tunnels) {
+      if (t.links.empty()) return;
+    }
+
+    // Template: maximize total flow over ALL tunnels subject to full link
+    // capacities.
+    Model tmpl;
+    tmpl.set_sense(Sense::kMaximize);
+    for (std::size_t t = 0; t < tunnels.size(); ++t) {
+      tmpl.add_variable(0.0, kInfinity, 1.0);
+    }
+    for (const LinkId e : tunnel_link_union(tunnels)) {
+      std::vector<Term> row;
+      for (std::size_t t = 0; t < tunnels.size(); ++t) {
+        if (tunnels[t].uses(e)) row.push_back({static_cast<int>(t), 1.0});
+      }
+      tmpl.add_constraint(std::move(row), Relation::kLessEqual,
+                          std::max(0.0, topo.link(e).capacity));
+    }
+
+    const auto patterns = static_cast<PatternMask>(dist.prob.size());
+    for (PatternMask s = 1; s < patterns; ++s) {
+      if (dist.prob[s] <= 0.0) continue;
+      Model inst = tmpl;
+      for (std::size_t t = 0; t < tunnels.size(); ++t) {
+        if (!((s >> t) & 1u)) {
+          Variable& v = inst.variable(static_cast<int>(t));
+          v.lower = 0.0;
+          v.upper = 0.0;
+        }
+      }
+      // cold-start: one tiny LP per pattern, solved once at construction;
+      // solving each from scratch keeps every entry independent of the
+      // order the patterns are visited in.
+      const Solution sol = solve_lp(inst, lp);
+      // Each instance maximizes a bounded flow over a nonempty feasible
+      // region (zero flow), so non-optimal statuses cannot occur; keep the
+      // entry unknown if a solver limit ever produces one anyway.
+      if (sol.status == SolveStatus::kOptimal) {
+        cap[s] = std::max(0.0, sol.objective);
+      }
+    }
+  });
+  return capability;
+}
+
 }  // namespace
 
 TrafficScheduler::TrafficScheduler(const Topology& topo,
@@ -111,85 +180,14 @@ TrafficScheduler::TrafficScheduler(const Topology& topo,
     dp->ranges = {{0, dp->dist.tunnel_count}};
     single_patterns_[static_cast<std::size_t>(k)] = std::move(dp);
   }
-  // Per-(pair, pattern) scenario LPs: one batch per pair over the pool,
-  // batched or serial per cfg_.lp.backend. Feeds the hard-repair screen.
-  capability_ =
-      precompute_pattern_capabilities(topo, catalog, lp_patterns_, cfg_.lp);
+  // Per-(pair, pattern) scenario LPs over the pool. Feeds the hard-repair
+  // screen.
+  capability_ = pattern_capabilities(topo, catalog, lp_patterns_, cfg_.lp);
 }
 
 const std::vector<double>& TrafficScheduler::pattern_capability(
     int pair) const {
   return capability_.at(static_cast<std::size_t>(pair));
-}
-
-std::vector<std::vector<double>> precompute_pattern_capabilities(
-    const Topology& topo, const TunnelCatalog& catalog,
-    std::span<const PatternDistribution> dists, const SimplexOptions& lp,
-    BatchStats* stats) {
-  BATE_ASSERT_MSG(dists.size() == static_cast<std::size_t>(catalog.pair_count()),
-                  "capability: distribution set does not match catalog");
-  const int pairs = catalog.pair_count();
-  std::vector<std::vector<double>> capability(static_cast<std::size_t>(pairs));
-  std::vector<BatchStats> pair_stats(static_cast<std::size_t>(pairs));
-  ThreadPool::shared().parallel_for(pairs, [&](int k) {
-    const std::size_t sk = static_cast<std::size_t>(k);
-    const auto& tunnels = catalog.tunnels(k);
-    const PatternDistribution& dist = dists[sk];
-    auto& cap = capability[sk];
-    cap.assign(dist.prob.size(), -1.0);
-    if (cap.empty()) return;
-    cap[0] = 0.0;  // all tunnels down: nothing deliverable
-    // A tunnel without links would make the flow LP unbounded; leave the
-    // pair's capabilities unknown rather than fabricate a bound.
-    for (const Tunnel& t : tunnels) {
-      if (t.links.empty()) return;
-    }
-
-    // Template: maximize total flow over ALL tunnels subject to full link
-    // capacities; pattern S is a bound delta fixing the down tunnels to 0.
-    Model tmpl;
-    tmpl.set_sense(Sense::kMaximize);
-    for (std::size_t t = 0; t < tunnels.size(); ++t) {
-      tmpl.add_variable(0.0, kInfinity, 1.0);
-    }
-    for (const LinkId e : tunnel_link_union(tunnels)) {
-      std::vector<Term> row;
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        if (tunnels[t].uses(e)) row.push_back({static_cast<int>(t), 1.0});
-      }
-      tmpl.add_constraint(std::move(row), Relation::kLessEqual,
-                          std::max(0.0, topo.link(e).capacity));
-    }
-
-    std::vector<PatternMask> masks;
-    std::vector<InstanceDelta> deltas;
-    const auto patterns = static_cast<PatternMask>(dist.prob.size());
-    for (PatternMask s = 1; s < patterns; ++s) {
-      if (dist.prob[s] <= 0.0) continue;
-      masks.push_back(s);
-      InstanceDelta delta;
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        if (!((s >> t) & 1u)) {
-          delta.bounds.push_back({static_cast<int>(t), 0.0, 0.0});
-        }
-      }
-      deltas.push_back(std::move(delta));
-    }
-    const std::vector<Solution> sols =
-        solve_lp_batch(tmpl, deltas, lp, &pair_stats[sk]);
-    for (std::size_t i = 0; i < masks.size(); ++i) {
-      // Each instance maximizes a bounded flow over a nonempty feasible
-      // region (zero flow), so non-optimal statuses cannot occur; keep the
-      // entry unknown if a solver limit ever produces one anyway.
-      if (sols[i].status == SolveStatus::kOptimal) {
-        cap[masks[i]] = std::max(0.0, sols[i].objective);
-      }
-    }
-  });
-  if (stats) {
-    for (const BatchStats& s : pair_stats) stats->merge(s);
-  }
-  return capability;
 }
 
 const PatternDistribution& TrafficScheduler::lp_patterns(int pair) const {
@@ -590,10 +588,6 @@ void TrafficScheduler::repair_hard_availability(
 
     BranchBoundOptions bnb;
     bnb.node_limit = 4000;
-    // serial: the per-demand repair MILPs have distinct shapes (each
-    // demand's own pattern set and residual rows), so they cannot share a
-    // batch template; the capability screen above already skips the
-    // provably infeasible ones.
     // cold-start: each demand builds a differently-shaped MILP (its own
     // pattern set), so no basis survives between loop iterations. Nodes
     // inside the solve still warm-start from their parents.

@@ -22,7 +22,6 @@
 
 #include "routing/tunnels.h"
 #include "scenario/pattern.h"
-#include "solver/batch.h"
 #include "solver/simplex.h"
 #include "topology/graph.h"
 #include "util/mutex.h"
@@ -115,8 +114,8 @@ class TrafficScheduler {
   /// Per-pattern deliverable capability of a pair: entry S is the maximum
   /// Mbps the up tunnels of pattern S can carry against the full link
   /// capacities (the per-(pair, pattern) scenario LP, precomputed at
-  /// construction through solve_lp_batch), or -1 when the pattern has zero
-  /// probability under the LP's distribution and was not solved. F(S) upper
+  /// construction), or -1 when the pattern has zero probability under the
+  /// LP's distribution and was not solved. F(S) upper
   /// bounds the bandwidth ANY feasible allocation gives the pair in S —
   /// capacity shared with other demands only shrinks it — so the hard-repair
   /// pass uses it to skip provably infeasible repair MILPs.
@@ -178,21 +177,6 @@ class TrafficScheduler {
   mutable std::map<std::vector<int>, std::shared_ptr<const DemandPatterns>>
       joint_cache_ BATE_GUARDED_BY(joint_mu_);
 };
-
-/// The scheduler's per-(pair, pattern) scenario-LP precompute, standalone:
-/// for every pair, the deliverable capability of each positive-probability
-/// pattern in `dists` (max total flow on the up tunnels subject to full
-/// link capacities; -1 for unsolved zero-probability patterns). One batch
-/// per pair — the template is the all-tunnels-up LP and each pattern is a
-/// bound delta fixing the down tunnels to zero — distributed across the
-/// shared thread pool, with SIMD-friendly lockstep lanes inside each batch
-/// when `lp.backend` selects the batched engine. Exposed separately from
-/// the constructor so bench_solver can time batched vs serial on identical
-/// inputs.
-std::vector<std::vector<double>> precompute_pattern_capabilities(
-    const Topology& topo, const TunnelCatalog& catalog,
-    std::span<const PatternDistribution> dists, const SimplexOptions& lp,
-    BatchStats* stats = nullptr);
 
 /// Total bandwidth an allocation places on each link (indexed by LinkId).
 std::vector<double> link_usage(const Topology& topo,

@@ -90,15 +90,6 @@ struct WarmStart {
   bool used = false;
 };
 
-/// Backend selector for scenario-heavy call sites that go through
-/// solve_lp_batch (solver/batch.h). `kSimplex` (the default) solves every
-/// instance independently with solve_lp; `kBatched` routes slack-feasible
-/// instances through the lockstep dense engine and falls back to solve_lp
-/// for anything that stalls or needs a certificate. solve_lp itself never
-/// reads this field, and `reference_mode` forces the serial path so the
-/// equivalence baseline is untouched.
-enum class SolveBackend : unsigned char { kSimplex = 0, kBatched = 1 };
-
 struct SimplexOptions {
   int iteration_limit = 200000;        // across both phases
   double tol = 1e-7;                   // feasibility / optimality tolerance
@@ -119,9 +110,6 @@ struct SimplexOptions {
   /// ignores it, the same contract as pricing and warm starts. Branch &
   /// bound presolves once at the root and searches the reduced model.
   bool presolve = true;
-  /// Batch backend for solve_lp_batch call sites (solver/batch.h); solve_lp
-  /// ignores it.
-  SolveBackend backend = SolveBackend::kSimplex;
 };
 
 /// Solves the LP (integrality markers are ignored). Throws

@@ -128,8 +128,14 @@ void Broker::receive_loop() {
 void Broker::apply_update(const AllocationUpdateMsg& update) {
   {
     MutexLock lock(mu_);
-    rates_[{update.id, update.pair}] = update.tunnel_mbps;
-    enforcer_.update(update.id, update.pair, update.tunnel_mbps);
+    if (update.tunnel_mbps.empty()) {
+      // The controller's removal of a withdrawn demand's row.
+      rates_.erase({update.id, update.pair});
+      enforcer_.remove(update.id, update.pair);
+    } else {
+      rates_[{update.id, update.pair}] = update.tunnel_mbps;
+      enforcer_.update(update.id, update.pair, update.tunnel_mbps);
+    }
     backup_active_ = update.backup;
     ++updates_;
   }

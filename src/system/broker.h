@@ -71,7 +71,8 @@ class Broker {
   /// the stop() ordering proof below), so the analysis is off for it; all
   /// state mutation is delegated to apply_update().
   void receive_loop() BATE_NO_THREAD_SAFETY_ANALYSIS;
-  /// Applies one allocation update to the enforcer view (takes mu_).
+  /// Applies one allocation update to the enforcer view (takes mu_). An
+  /// update with no tunnel rates removes the (demand, pair) row.
   void apply_update(const AllocationUpdateMsg& update) BATE_EXCLUDES(mu_);
 
   int dc_;

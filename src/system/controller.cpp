@@ -287,9 +287,18 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     purge_queue_for_demand(withdraw->id);
     const std::int64_t now = obs::now_us();
     ledger_.withdraw(withdraw->id, now);
+    // Brokers keep enforcing a row until told to drop it, so the broadcast
+    // carries an empty row per pair of the departed demand.
+    std::vector<Demand> removed;
+    for (const Demand& d : admission_.admitted()) {
+      if (d.id == withdraw->id) {
+        removed.push_back(d);
+        break;
+      }
+    }
     admission_.remove(withdraw->id);
     run_scheduling_round();
-    broadcast_allocations(false, nullptr);
+    broadcast_allocations(false, nullptr, removed);
     refresh_slo(obs::now_us());
     return;
   }
@@ -357,11 +366,6 @@ void Controller::on_submit(Peer& peer, const SubmitDemandMsg& submit,
       return;
     }
   }
-  if (!config_.batch_admission) {
-    obs::ScopedTraceContext adopt(trace);
-    admit_inline(peer, submit, now);
-    return;
-  }
   if (queued_ >= config_.max_queue) {
     shed(peer, rid, submit.demand.id, static_cast<double>(config_.tick_ms));
     return;
@@ -371,29 +375,6 @@ void Controller::on_submit(Peer& peer, const SubmitDemandMsg& submit,
       peer.socket.fd(), rid, submit.demand, now, tenant_of(peer), trace});
   ++queued_;
   if (obs::enabled()) m.queue_depth.set(static_cast<double>(queued_));
-}
-
-void Controller::admit_inline(Peer& peer, const SubmitDemandMsg& submit,
-                              std::int64_t recv_us) {
-  obs::Span span("controller.admit_inline");
-  const AdmissionOutcome outcome = admission_.offer(submit.demand);
-  auto& m = ControllerMetrics::get();
-  m.offered.inc();
-  if (outcome.admitted) m.admitted.inc();
-  send_to(peer, AdmissionReplyMsg{submit.request_id, submit.demand.id,
-                                  outcome.admitted ? AdmissionStatus::kAdmitted
-                                                   : AdmissionStatus::kRejected,
-                                  0.0});
-  if (obs::enabled()) m.reply_latency_us.record(obs::now_us() - recv_us);
-  if (outcome.admitted) {
-    const std::int64_t now = obs::now_us();
-    ledger_.admit(submit.demand.id, tenant_of(peer),
-                  submit.demand.availability_target, now);
-    ledger_.allocate(submit.demand.id, now);
-    run_scheduling_round();
-    broadcast_allocations(false, nullptr);
-    refresh_slo(obs::now_us());
-  }
 }
 
 void Controller::drain_admission_queue() {
@@ -504,7 +485,8 @@ void Controller::drain_admission_queue() {
 int Controller::send_allocations_to(Peer& peer, bool backup,
                                     std::span<const Demand> demands,
                                     std::span<const Allocation> allocs,
-                                    const FrameContext& trace) {
+                                    const FrameContext& trace,
+                                    std::span<const Demand> removed) {
   BATE_DCHECK_MSG(demands.size() == allocs.size(),
                   "controller: demand/allocation desync");
   int sent = 0;
@@ -515,6 +497,16 @@ int Controller::send_allocations_to(Peer& peer, bool backup,
       update.id = demands[i].id;
       update.pair = demands[i].pairs[p].pair;
       update.tunnel_mbps = allocs[i][p];
+      update.backup = backup;
+      batch.add(encode_message(update), trace);
+      ++sent;
+    }
+  }
+  for (const Demand& d : removed) {
+    for (const PairDemand& pd : d.pairs) {
+      AllocationUpdateMsg update;  // empty tunnel_mbps: drop the row
+      update.id = d.id;
+      update.pair = pd.pair;
       update.backup = backup;
       batch.add(encode_message(update), trace);
       ++sent;
@@ -553,7 +545,8 @@ void Controller::send_allocation_snapshot(Peer& peer) {
 }
 
 void Controller::broadcast_allocations(bool backup,
-                                       const RecoveryResult* plan) {
+                                       const RecoveryResult* plan,
+                                       std::span<const Demand> removed) {
   obs::Span span("controller.broadcast");
   const obs::SpanContext sc = span.context();
   const FrameContext trace{sc.trace_id, sc.span_id};
@@ -566,7 +559,7 @@ void Controller::broadcast_allocations(bool backup,
   int sent = 0;
   for (auto& [fd, peer] : peers_) {
     if (peer.role != "broker") continue;
-    sent += send_allocations_to(peer, backup, demands, allocs, trace);
+    sent += send_allocations_to(peer, backup, demands, allocs, trace, removed);
   }
   auto& m = ControllerMetrics::get();
   m.updates.inc(sent);

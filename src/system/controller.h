@@ -66,10 +66,6 @@ struct ControllerConfig {
   /// iteration, so this bounds reply latency only on an idle connection.
   /// Also the retry_after hint handed to shed requests.
   int tick_ms = 5;
-  /// false = serial baseline: each SubmitDemand is admitted inline with its
-  /// own solve and full broadcast (the pre-pipeline behaviour, benched as
-  /// the one-solve-per-request baseline in bench_system).
-  bool batch_admission = true;
   /// Bounded admission queue across all tenants; overflow is shed with
   /// AdmissionStatus::kShed + retry_after.
   std::size_t max_queue = 8192;
@@ -144,13 +140,10 @@ class Controller {
   void on_peer_readable(int fd);
   void handle_message(Peer& peer, const Message& msg,
                       const obs::SpanContext& trace = {});
-  /// SubmitDemand ingress: duplicate check, tenant rate limit, then either
-  /// enqueue (batch mode) or admit inline (serial baseline).
+  /// SubmitDemand ingress: duplicate check, tenant rate limit, queue bound,
+  /// then enqueue for the tick drain.
   void on_submit(Peer& peer, const SubmitDemandMsg& submit,
                  const obs::SpanContext& trace);
-  /// Serial-baseline admission: one solve + full broadcast per request.
-  void admit_inline(Peer& peer, const SubmitDemandMsg& submit,
-                    std::int64_t recv_us);
   /// Tick handler: drains the whole admission queue through
   /// AdmissionController::offer_batch and flushes per-peer reply batches.
   void drain_admission_queue();
@@ -167,15 +160,20 @@ class Controller {
   /// Flushes an accumulated frame batch to `peer` with one write.
   void flush_batch(Peer& peer, const FrameBatch& batch);
   /// Sends one AllocationUpdate per (demand, pair) to `peer` as a single
-  /// batched write, stamping `trace` onto every frame; returns the number
-  /// of updates. Loop thread only.
+  /// batched write, stamping `trace` onto every frame, followed by one
+  /// empty (row-removing) update per pair of each `removed` demand; returns
+  /// the number of updates. Loop thread only.
   int send_allocations_to(Peer& peer, bool backup,
                           std::span<const Demand> demands,
                           std::span<const Allocation> allocs,
-                          const FrameContext& trace = {});
+                          const FrameContext& trace = {},
+                          std::span<const Demand> removed = {});
   /// Current (non-backup) allocations to a newly introduced broker.
   void send_allocation_snapshot(Peer& peer);
-  void broadcast_allocations(bool backup, const RecoveryResult* plan);
+  /// Full broadcast of the primary allocations, or of `plan` when `backup`;
+  /// `removed` demands ride along as row removals.
+  void broadcast_allocations(bool backup, const RecoveryResult* plan,
+                             std::span<const Demand> removed = {});
   /// Delta broadcast: only admitted()[first_new..] rows, after a batch that
   /// appended greedy admissions without rescheduling anyone else.
   void broadcast_new_allocations(std::size_t first_new);

@@ -58,7 +58,8 @@ struct AdmissionReplyMsg {
 };
 
 /// One (demand, pair) row of the bandwidth-enforcement table: rates per
-/// tunnel in Mbps. `backup` marks rows coming from an activated backup plan.
+/// tunnel in Mbps. An empty `tunnel_mbps` removes the row (the demand was
+/// withdrawn). `backup` marks rows coming from an activated backup plan.
 struct AllocationUpdateMsg {
   DemandId id = -1;
   int pair = -1;

@@ -211,7 +211,7 @@ std::vector<Demand> mixed_batch(std::uint64_t seed, int count = 10) {
   return out;
 }
 
-// kFixed and kBate batch admission IS the serial walk (one incrementally
+// Batch admission IS the serial walk for every strategy (one incrementally
 // maintained residual instead of a recompute per offer), so the verdicts,
 // the admitted set, and chunking of the queue must all be invisible.
 class BatchEquivalence : public ::testing::TestWithParam<int> {};
@@ -219,7 +219,8 @@ class BatchEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(BatchEquivalence, MatchesSerialWholeAndChunked) {
   const auto demands = mixed_batch(static_cast<std::uint64_t>(GetParam()));
   for (const AdmissionStrategy strategy :
-       {AdmissionStrategy::kFixed, AdmissionStrategy::kBate}) {
+       {AdmissionStrategy::kFixed, AdmissionStrategy::kBate,
+        AdmissionStrategy::kOptimal}) {
     TestbedFixture fx;
     AdmissionController serial(fx.scheduler, strategy);
     std::vector<bool> want;
@@ -269,8 +270,8 @@ TEST_P(BatchEquivalence, MatchesSerialWholeAndChunked) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEquivalence, ::testing::Range(0, 8));
 
 TEST(BatchOptimal, AllFeasibleMatchesSerial) {
-  // When the whole queue is jointly admissible the batched MILP must agree
-  // with the serial walk exactly: everyone in, same order.
+  // When the whole queue is jointly admissible the batch must agree with
+  // the serial walk exactly: everyone in, same order.
   TestbedFixture fx;
   const std::vector<Demand> demands = {make_demand(0, 0, 300.0, 0.9),
                                        make_demand(1, 1, 400.0, 0.0),
@@ -293,10 +294,9 @@ TEST(BatchOptimal, AllFeasibleMatchesSerial) {
 }
 
 TEST(BatchOptimal, InfeasibleBatchPicksMaxCardinalitySubset) {
-  // The documented kOptimal divergence (DESIGN.md Sec 10): d0 = 2000 fills
-  // the source egress enough that neither 1200 fits next to it, but the two
-  // 1200s fit together. Serial FCFS admits d0 and rejects the rest; the
-  // batched MILP maximizes admitted cardinality and inverts that.
+  // d0 = 2000 fills the source egress enough that neither 1200 fits next
+  // to it, although the two 1200s would fit together. kOptimal admits FCFS
+  // like every strategy: d0 in, d1 and d2 out, in a batch as serially.
   TestbedFixture fx;
   const std::vector<Demand> demands = {make_demand(0, 0, 2000.0, 0.0),
                                        make_demand(1, 1, 1200.0, 0.0),
@@ -309,16 +309,16 @@ TEST(BatchOptimal, InfeasibleBatchPicksMaxCardinalitySubset) {
   AdmissionController batch(fx.scheduler, AdmissionStrategy::kOptimal);
   const BatchAdmissionOutcome out = batch.offer_batch(demands);
   ASSERT_EQ(out.outcomes.size(), 3u);
-  EXPECT_FALSE(out.outcomes[0].admitted);
-  EXPECT_TRUE(out.outcomes[1].admitted);
-  EXPECT_TRUE(out.outcomes[2].admitted);
-  EXPECT_EQ(batch.admitted().size(), 2u);
+  EXPECT_TRUE(out.outcomes[0].admitted);
+  EXPECT_FALSE(out.outcomes[1].admitted);
+  EXPECT_FALSE(out.outcomes[2].admitted);
+  ASSERT_EQ(batch.admitted().size(), 1u);
+  EXPECT_EQ(batch.admitted()[0].id, 0);
 }
 
 TEST(BatchOptimal, FcfsTieBreakAmongEqualCardinality) {
-  // Three identical 1800s, any two over the 3000-unit egress: every
-  // maximum-cardinality subset is a singleton, and the FCFS tie-break must
-  // pick the earliest arrival — matching the serial walk.
+  // Three identical 1800s, any two over the 3000-unit egress: only the
+  // earliest arrival fits, matching the serial walk.
   TestbedFixture fx;
   const std::vector<Demand> demands = {make_demand(0, 0, 1800.0, 0.0),
                                        make_demand(1, 1, 1800.0, 0.0),
@@ -331,62 +331,6 @@ TEST(BatchOptimal, FcfsTieBreakAmongEqualCardinality) {
   EXPECT_FALSE(out.outcomes[2].admitted);
   ASSERT_EQ(batch.admitted().size(), 1u);
   EXPECT_EQ(batch.admitted()[0].id, 0);
-}
-
-TEST(BatchAdmissionModel, StructureAndFcfsWeights) {
-  TestbedFixture fx;
-  const std::vector<Demand> committed = {make_demand(0, 0, 100.0, 0.9)};
-  const std::vector<Demand> candidates = {make_demand(1, 1, 100.0, 0.0),
-                                          make_demand(2, 2, 100.0, 0.99)};
-  std::vector<int> admit_vars;
-  const Model batch = build_batch_admission_model(fx.scheduler, committed,
-                                                  candidates, &admit_vars);
-  ASSERT_EQ(admit_vars.size(), candidates.size());
-  for (const int col : admit_vars) {
-    ASSERT_GE(col, 0);
-    ASSERT_LT(col, batch.variable_count());
-    const Variable& v = batch.variables()[static_cast<std::size_t>(col)];
-    EXPECT_TRUE(v.integer);
-    EXPECT_DOUBLE_EQ(v.lower, 0.0);
-    EXPECT_DOUBLE_EQ(v.upper, 1.0);
-    // Minimization model: admitting must pay (reward = negative cost)...
-    EXPECT_LT(v.objective, 0.0);
-  }
-  // ...and the FCFS tie-break makes the earlier candidate pay strictly more.
-  EXPECT_LT(batch.variables()[static_cast<std::size_t>(admit_vars[0])].objective,
-            batch.variables()[static_cast<std::size_t>(admit_vars[1])].objective);
-
-  // Zero candidates degenerate to the plain committed-only feasibility
-  // model: same shape, no admit binaries.
-  std::vector<int> none;
-  const Model plain = build_admission_model(fx.scheduler, committed);
-  const Model degenerate =
-      build_batch_admission_model(fx.scheduler, committed, {}, &none);
-  EXPECT_TRUE(none.empty());
-  EXPECT_EQ(degenerate.variable_count(), plain.variable_count());
-  EXPECT_EQ(degenerate.constraint_count(), plain.constraint_count());
-  // Candidates grow both dimensions.
-  EXPECT_GT(batch.variable_count(), plain.variable_count());
-  EXPECT_GT(batch.constraint_count(), plain.constraint_count());
-}
-
-TEST(BatchAdmissionCheck, ProvenVerdictsPerCandidate) {
-  TestbedFixture fx;
-  const std::vector<Demand> committed = {make_demand(0, 0, 500.0, 0.9)};
-  // One demand that fits and one that can never fit anywhere.
-  const std::vector<Demand> candidates = {make_demand(1, 1, 300.0, 0.9),
-                                          make_demand(2, 2, 5000.0, 0.0)};
-  const BatchAdmissionVerdicts v =
-      batch_admission_check(fx.scheduler, committed, candidates);
-  ASSERT_TRUE(v.proven);
-  ASSERT_EQ(v.admit.size(), 2u);
-  EXPECT_TRUE(v.admit[0]);
-  EXPECT_FALSE(v.admit[1]);
-
-  const BatchAdmissionVerdicts empty =
-      batch_admission_check(fx.scheduler, committed, {});
-  EXPECT_TRUE(empty.proven);
-  EXPECT_TRUE(empty.admit.empty());
 }
 
 TEST(AdmissionController, ConjectureAdmitsWhatFixedRejects) {

@@ -3,6 +3,10 @@
 // knapsack-like single-bottleneck instances), and the backup planner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/pricing.h"
 #include "core/recovery.h"
 #include "core/scheduling.h"
@@ -193,6 +197,51 @@ TEST(BackupPlanner, PrecomputesPlansForLoadedLinks) {
       EXPECT_EQ(planner.plan(e), nullptr) << "link " << e;
     }
   }
+}
+
+// Optimal plans go through the build-once template with each failure
+// set's dead tunnels fixed to zero; every plan must match a from-scratch
+// recover_optimal on the per-failure model.
+TEST(BackupPlanner, OptimalPlansMatchRecoverOptimal) {
+  const Topology topo = testbed6();
+  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
+
+  std::vector<Demand> demands;
+  for (int i = 0; i < 10; ++i) {
+    demands.push_back(make_demand(i, i % catalog.pair_count(),
+                                  40.0 + 13.0 * (i % 4),
+                                  10.0 + static_cast<double>(i),
+                                  0.2 + 0.15 * static_cast<double>(i % 5)));
+  }
+  std::vector<Allocation> current;
+  for (const Demand& d : demands) {
+    Allocation a;
+    for (const auto& pr : d.pairs) {
+      const auto& tunnels = catalog.tunnels(pr.pair);
+      a.emplace_back(tunnels.size(),
+                     pr.mbps / static_cast<double>(tunnels.size()));
+    }
+    current.push_back(std::move(a));
+  }
+
+  BackupPlanner planner(topo, catalog, 4);
+  planner.use_optimal_plans(BranchBoundOptions{});
+  planner.precompute(demands, current);
+  ASSERT_GT(planner.plan_count(), 0u);
+
+  int checked = 0;
+  for (LinkId e = 0; e < topo.link_count(); ++e) {
+    const RecoveryResult* plan = planner.plan(e);
+    if (plan == nullptr) continue;
+    const std::vector<LinkId> failed = {e};
+    const RecoveryResult want = recover_optimal(topo, catalog, demands, failed);
+    EXPECT_EQ(plan->solved, want.solved) << "link " << e;
+    EXPECT_NEAR(plan->profit, want.profit,
+                1e-6 * std::max(1.0, std::abs(want.profit)))
+        << "link " << e;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0);
 }
 
 }  // namespace

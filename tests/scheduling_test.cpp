@@ -3,6 +3,10 @@
 // monotonicity, hard-repair, and property checks over random workloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/scheduling.h"
 #include "topology/catalog.h"
 #include "topology/generator.h"
@@ -227,6 +231,56 @@ TEST_P(SchedulingProperty, CapacityAndBandwidthInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulingProperty, ::testing::Range(0, 10));
+
+// The capability table behind the hard-repair screen: entry S of a pair
+// must equal the max flow of a model holding only the pattern's up
+// tunnels; zero-probability patterns stay unsolved (-1).
+TEST(Scheduling, PatternCapabilityMatchesDirectMaxFlow) {
+  const Topology topo = testbed6();
+  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+
+  int solved = 0;
+  for (int pair = 0; pair < catalog.pair_count(); ++pair) {
+    const auto& tunnels = catalog.tunnels(pair);
+    const PatternDistribution& dist = scheduler.lp_patterns(pair);
+    const std::vector<double>& cap = scheduler.pattern_capability(pair);
+    ASSERT_EQ(cap.size(), dist.prob.size()) << "pair " << pair;
+    ASSERT_FALSE(cap.empty());
+    EXPECT_EQ(cap[0], 0.0) << "pair " << pair;
+    for (PatternMask s = 1; s < static_cast<PatternMask>(cap.size()); ++s) {
+      if (dist.prob[s] <= 0.0) {
+        EXPECT_EQ(cap[s], -1.0) << "pair " << pair << " pattern " << s;
+        continue;
+      }
+      std::vector<Tunnel> up;
+      for (std::size_t t = 0; t < tunnels.size(); ++t) {
+        if ((s >> t) & 1u) up.push_back(tunnels[t]);
+      }
+      Model flow;
+      flow.set_sense(Sense::kMaximize);
+      for (std::size_t t = 0; t < up.size(); ++t) {
+        flow.add_variable(0.0, kInfinity, 1.0);
+      }
+      for (const LinkId e : tunnel_link_union(up)) {
+        std::vector<Term> row;
+        for (std::size_t t = 0; t < up.size(); ++t) {
+          if (up[t].uses(e)) row.push_back({static_cast<int>(t), 1.0});
+        }
+        flow.add_constraint(std::move(row), Relation::kLessEqual,
+                            topo.link(e).capacity);
+      }
+      const Solution want = solve_lp(flow);
+      ASSERT_EQ(want.status, SolveStatus::kOptimal)
+          << "pair " << pair << " pattern " << s;
+      EXPECT_NEAR(cap[s], want.objective,
+                  1e-6 * std::max(1.0, std::abs(want.objective)))
+          << "pair " << pair << " pattern " << s;
+      ++solved;
+    }
+  }
+  EXPECT_GT(solved, 0);
+}
 
 }  // namespace
 }  // namespace bate

@@ -183,18 +183,36 @@ TEST_F(SystemFixture, RejectsOversizedDemand) {
 }
 
 TEST_F(SystemFixture, WithdrawFreesCapacity) {
+  Broker b0(0, controller->port());
+  Broker b1(1, controller->port());
+  b0.start();
+  b1.start();
   UserClient user(controller->port());
   // Saturate the DC1 egress.
   EXPECT_TRUE(user.submit(make_demand(1, 0, 900.0, 0.0)));
   EXPECT_TRUE(user.submit(make_demand(2, 1, 900.0, 0.0)));
   EXPECT_TRUE(user.submit(make_demand(3, 2, 900.0, 0.0)));
   EXPECT_FALSE(user.submit(make_demand(4, 0, 900.0, 0.0)));
-  // Withdraw one and retry.
+  for (const Broker* b : {&b0, &b1}) {
+    ASSERT_TRUE(wait_for_broker(
+        *b, [&] { return b->enforced_total(1, 0) > 0.0; }))
+        << "broker " << b->dc();
+  }
+  // Withdraw one: every broker stops enforcing it.
   user.withdraw(1);
+  for (const Broker* b : {&b0, &b1}) {
+    EXPECT_TRUE(wait_for_broker(
+        *b, [&] { return b->enforced_rates(1, 0).empty(); }))
+        << "broker " << b->dc() << " still enforces "
+        << b->enforced_total(1, 0);
+  }
+  // The freed capacity admits a retry.
   EXPECT_TRUE(wait_for([&] {
     UserClient probe(controller->port());
     return probe.submit(make_demand(5, 0, 900.0, 0.0));
   }));
+  b0.stop();
+  b1.stop();
 }
 
 TEST_F(SystemFixture, LinkFailureActivatesBackup) {

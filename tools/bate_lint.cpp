@@ -363,76 +363,6 @@ void check_cold_solve(const fs::path& file,
   }
 }
 
-// --- Rule: serial-solve -----------------------------------------------------
-
-/// src/core .cpp files: flags per-scenario / per-failure-set solver calls
-/// (solve_lp, solve_milp, recover_optimal, recover_with_template) inside a
-/// loop body that do not go through the batched backend (src/solver/batch.h).
-/// Scenario-heavy loops are exactly what solve_lp_batch exists for; a loop
-/// that stays serial must say why with a `// serial: <reason>` comment on
-/// the call line or one of the eight raw lines above it (the reason blocks
-/// in scheduling.cpp / recovery.cpp run several lines, and the cold-start
-/// annotation often sits between them and the call). Calls whose text
-/// mentions a batch identifier are the batched path itself and pass.
-void check_serial_solve(const fs::path& file,
-                        const std::vector<std::string>& code,
-                        const std::vector<std::string>& raw) {
-  int depth = 0;
-  bool pending_loop = false;
-  std::vector<int> loop_depths;
-
-  auto call_is_allowed = [&](std::size_t i) {
-    for (std::size_t back = 0; back <= 8 && back <= i; ++back) {
-      if (raw[i - back].find("serial:") != std::string::npos) return true;
-    }
-    return line_allows(raw[i], "serial-solve");
-  };
-
-  for (std::size_t i = 0; i < code.size(); ++i) {
-    const std::string& line = code[i];
-    if (!loop_depths.empty()) {
-      for (const char* call : {"solve_lp(", "solve_milp(", "recover_optimal(",
-                               "recover_with_template("}) {
-        if (line.find(call) == std::string::npos) continue;
-        std::string text = line;
-        for (std::size_t j = i + 1; j < code.size() && j <= i + 3; ++j) {
-          text += code[j];
-        }
-        const bool batched = text.find("batch") != std::string::npos ||
-                             text.find("Batch") != std::string::npos;
-        if (!batched && !call_is_allowed(i)) {
-          report(file, static_cast<int>(i + 1), "serial-solve",
-                 std::string(call) +
-                     "...) per scenario/failure-set inside a loop; batch the "
-                     "instances through solve_lp_batch or annotate "
-                     "`// serial: <reason>`");
-        }
-      }
-    }
-    if (contains_token(line, "for") || contains_token(line, "while")) {
-      pending_loop = true;
-    }
-    for (const char c : line) {
-      if (c == '{') {
-        ++depth;
-        if (pending_loop) {
-          loop_depths.push_back(depth);
-          pending_loop = false;
-        }
-      } else if (c == '}') {
-        while (!loop_depths.empty() && loop_depths.back() >= depth) {
-          loop_depths.pop_back();
-        }
-        --depth;
-      }
-    }
-    if (pending_loop && line.find(';') != std::string::npos &&
-        line.find('{') == std::string::npos) {
-      pending_loop = false;
-    }
-  }
-}
-
 // --- Rule: timing -----------------------------------------------------------
 
 /// src/solver + src/core: hot-path timing goes through obs::now_us() — one
@@ -615,9 +545,6 @@ int main(int argc, char** argv) {
       if (source && (rel.string().rfind("src/core", 0) == 0 ||
                      rel.string().rfind("src/solver", 0) == 0)) {
         check_cold_solve(rel, code_lines, raw_lines);
-      }
-      if (source && rel.string().rfind("src/core", 0) == 0) {
-        check_serial_solve(rel, code_lines, raw_lines);
       }
       if (rel.string().rfind("src/solver", 0) == 0 ||
           rel.string().rfind("src/core", 0) == 0) {

@@ -21,11 +21,8 @@
 // one representative solve, in the metrics JSON exposition; v4 (cuts PR)
 // added the MILP optimality metrics (proven_optimal, mip_gap, dual_pivots,
 // gomory_cuts, cover_cuts, cut_rounds, strong_branch_solves) to the milp
-// bench; the batched-backend PR added the solver bench's batch_* cases
-// (serial_median_ms, batch_median_ms, speedup_vs_serial, fallback_pct and
-// the lockstep iteration counters) under the same v4 container; v5
-// (admission pipeline PR) added the system bench (BENCH_system.json:
-// admissions_per_sec, p50/p99_reply_us, shed, speedup_vs_serial) and the
+// bench; v5 (admission pipeline PR) added the system bench
+// (BENCH_system.json: admissions_per_sec, p50/p99_reply_us, shed) and the
 // check_bench_max ceiling gate for lower-is-better metrics; v6 (SLO
 // ledger PR) added the system bench's slo chaos case (slo_demands,
 // slo_crosscheck_max_abs_err, slo_min/mean_availability, slo_worst_burn)
@@ -107,11 +104,10 @@ struct BenchMinResult {
 };
 
 /// Gates a single report: every case carrying `metric` must be >= `floor`.
-/// The dual of compare_bench_json for higher-is-BETTER metrics — the batch
-/// cases' `speedup_vs_serial` measures its serial baseline inside the same
-/// run, so there is no old/new pair to diff and the gate is an absolute
-/// floor (the CI bench-smoke leg uses a floor well under the committed
-/// steady-state speedup to absorb single-rep noise).
+/// The dual of compare_bench_json for higher-is-BETTER metrics gated as an
+/// absolute floor rather than an old/new diff (the CI bench-smoke leg's
+/// admissions_per_sec and slo_demands floors sit well under the committed
+/// values to absorb single-rep noise).
 BenchMinResult check_bench_min(const std::string& path,
                                const std::string& metric, double floor);
 

@@ -15,9 +15,8 @@
 // and `warm_median_ms` for the MILP bench.
 //
 // --min exits 1 when any case carrying the metric falls below the floor:
-// the higher-is-better gate for metrics whose baseline lives inside the
-// same run (the batch cases' `speedup_vs_serial`, the system bench's
-// admissions_per_sec).
+// the higher-is-better absolute gate (the system bench's
+// admissions_per_sec and slo_demands).
 //
 // --max is the mirror image for lower-is-better absolute metrics: exit 1
 // when any case carrying the metric exceeds the ceiling (the system

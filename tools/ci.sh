@@ -9,21 +9,23 @@
 #                  skipped (with a notice) when clang++ is not installed —
 #                  GCC has no thread-safety analysis
 #   5. lint        bate_lint (always) + clang-tidy (when installed)
-#   6. bench-smoke bench_solver + bench_milp with a tiny rep count;
-#                  validates the emitted BENCH json against the schema
-#                  (tools/bench_report.h), diffs both against the committed
-#                  baselines (timing for the solver bench; node counts and
-#                  warm timing for the MILP bench); bench_system at a
-#                  reduced arrival count with an absolute floor on
-#                  admissions/sec, a ceiling on p99 reply latency and a
-#                  floor on the batched-vs-serial speedup; the SLO-ledger
-#                  crosscheck gate (measured availability must match the
-#                  shared simulator arithmetic within 1e-9 across a link-
-#                  flap chaos run); bate_top --once --json --check against
-#                  a live --serve stack; then runs the obs-overhead gate
-#                  (bench_solver --obs-overhead: metrics enabled, the SLO
-#                  ledger and the time-series store must stay within 3% of
-#                  the BATE_OBS_OFF=1 median, DESIGN.md Sec 9)
+#   6. bench-smoke the controller-loop benchmark first (perfbench/run.py
+#                  --selftest, then one short run of every BENCHMARK.json
+#                  workload; any non-zero exit, including a failed output
+#                  check, fails the leg); bench_solver + bench_milp with a
+#                  tiny rep count; validates the emitted BENCH json against
+#                  the schema (tools/bench_report.h), diffs both against the
+#                  committed baselines (timing for the solver bench; node
+#                  counts and warm timing for the MILP bench); bench_system
+#                  at a reduced arrival count with an absolute floor on
+#                  admissions/sec and a ceiling on p99 reply latency; the
+#                  SLO-ledger crosscheck gate (measured availability must
+#                  match the shared simulator arithmetic within 1e-9 across
+#                  a link-flap chaos run); bate_top --once --json --check
+#                  against a live --serve stack; then runs the obs-overhead
+#                  gate (bench_solver --obs-overhead: metrics enabled, the
+#                  SLO ledger and the time-series store must stay within 3%
+#                  of the BATE_OBS_OFF=1 median, DESIGN.md Sec 9)
 #
 # Every leg uses the CMakePresets.json presets, so a CI runner and a
 # developer shell run the identical configuration. Legs can be selected:
@@ -85,6 +87,14 @@ for leg in "${legs[@]}"; do
       fi
       ;;
     bench-smoke)
+      banner "perfbench: selftest + one short run per BENCHMARK.json workload"
+      python3 perfbench/run.py --selftest
+      for workload in $(python3 -c 'import json, sys
+for w in json.load(open(sys.argv[1]))["workloads"]:
+    print(w["name"])' "$ROOT/BENCHMARK.json"); do
+        python3 perfbench/run.py --workload "$workload" --seconds 25 \
+          --trace 0 --seed 9001
+      done
       banner "bench-smoke (bench_solver + bench_milp --reps 1 + schema validation)"
       cmake --preset dev
       cmake --build --preset dev -j "$(nproc)" --target bench_solver bench_milp bench_report_tool
@@ -100,14 +110,6 @@ for leg in "${legs[@]}"; do
         "build/dev/tools/bench_report" --compare "$ROOT/BENCH_solver.json" \
           "$smoke_json" --max-regress 3.0
       fi
-      # Batched-backend gate: every batch_* case measures its serial
-      # baseline inside the same run, so the speedup is gated as an
-      # absolute floor rather than a baseline diff. The committed steady
-      # state is >= 2x (ISSUE 8 acceptance); 1.3 leaves headroom for a
-      # --reps 1 run on a loaded box while still failing if batching
-      # degenerates into the fallback path.
-      "build/dev/tools/bench_report" --min "$smoke_json" \
-        --metric speedup_vs_serial --floor 1.3
       rm -f "$smoke_json"
       smoke_json=$(mktemp /tmp/BENCH_milp_smoke.XXXXXX.json)
       "build/dev/bench/bench_milp" --reps 1 --out "$smoke_json"
@@ -127,19 +129,16 @@ for leg in "${legs[@]}"; do
       banner "bench_system smoke (20k arrivals, admission-pipeline gates)"
       cmake --build --preset dev -j "$(nproc)" --target bench_system
       smoke_json=$(mktemp /tmp/BENCH_system_smoke.XXXXXX.json)
-      "build/dev/bench/bench_system" --arrivals 20000 --serial-arrivals 100 \
-        --out "$smoke_json"
+      "build/dev/bench/bench_system" --arrivals 20000 --out "$smoke_json"
       "build/dev/bench/bench_system" --validate "$smoke_json"
-      # Absolute gates (ISSUE 9): the committed steady state is >= 100k
+      # Absolute gates: the committed BENCH_system.json runs 53k
       # admissions/sec at 100k arrivals with a p99 of a few ms; the smoke
-      # floors/ceilings leave a wide margin for a loaded CI box while still
-      # failing if the pipeline degenerates to per-request behaviour
-      # (serial inline runs at a few hundred admissions/sec, 1-2 orders
-      # below the floor).
+      # floor/ceiling leave a wide margin for a loaded CI box while still
+      # failing if the pipeline degenerates to per-request behaviour (the
+      # retired inline path ran at a few hundred admissions/sec, 1-2 orders
+      # below the floor; EXPERIMENTS.md).
       "build/dev/tools/bench_report" --min "$smoke_json" \
         --metric admissions_per_sec --floor 10000
-      "build/dev/tools/bench_report" --min "$smoke_json" \
-        --metric speedup_vs_serial --floor 5.0
       "build/dev/tools/bench_report" --max "$smoke_json" \
         --metric p99_reply_us --ceiling 200000
       # SLO-ledger crosscheck gate (ISSUE 10): the slo chaos case replays
