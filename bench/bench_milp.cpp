@@ -1,30 +1,26 @@
 // MILP microbench: times solve_milp on fixed seeded admission / recovery
-// MILP instances in three configurations — cold branch & bound (every node
-// relaxation solved from scratch, PR 2's solver), warm-started branch &
-// bound (children restart from the parent relaxation's final basis), and
-// warm-started parallel branch & bound (work-shared best-bound search on a
-// thread pool) — and emits BENCH_milp.json via tools/bench_report so every
+// MILP instances under the production branch & bound (children warm-start
+// from the parent relaxation's final basis; root cuts and pseudo-cost
+// branching on) and emits BENCH_milp.json via tools/bench_report so every
 // PR carries a perf trajectory for the integer path too.
 //
 // Two instance families, each run with its production configuration:
 //
 //  * admission_* — the admission feasibility MILPs, solved the way
 //    core/admission.cpp solves them: stop at the first incumbent under a
-//    node budget. The testbed6 instances reach an incumbent inside the
-//    budget; the ibm/b4 instances exhaust it (every configuration visits
-//    the full budget, making them pure node-throughput measurements).
+//    node budget.
 //  * recovery_* — post-failure recovery MILPs with non-trivial refund
 //    fractions, demand volumes scaled until surviving capacity binds, and
 //    the most-loaded links failed, solved to optimality.
 //
-// Every configuration must reach the same verdict (incumbent found /
-// budget exhausted / infeasible) or the bench aborts. Instances solved to
-// optimality are additionally solved once with the reference simplex under
-// cold branch & bound and all objectives must agree to 1e-6 relative.
-// Stop-at-first instances compare the verdict only (which incumbent the
-// parallel search reaches first is timing-dependent) and skip the
-// reference run (there is no proven optimum to compare, and a 2000-node
-// reference-mode tree costs close to a minute).
+// Every timed solve is checked against a baseline or the bench aborts.
+// Instances with a reference run (all recovery instances, the testbed6
+// admissions) are solved once more under the reference simplex; statuses
+// must match, and objectives must agree to 1e-6 relative where both ran to
+// optimality. The remaining stop-at-first instances skip the reference run
+// (a 2000-node reference-mode tree costs close to a minute) and must reach
+// the same verdict (incumbent found / infeasible / budget exhausted) as
+// their run-to-optimality prove run.
 //
 // Usage:
 //   bench_milp [--reps N] [--out BENCH_milp.json] [--validate FILE]
@@ -48,7 +44,6 @@
 #include "core/scheduling.h"
 #include "sim/experiment.h"
 #include "solver/branch_bound.h"
-#include "util/thread_pool.h"
 #include "workload/traffic_matrix.h"
 
 namespace {
@@ -191,16 +186,26 @@ Timed run_config(const Model& model, const BranchBoundOptions& opt, int reps) {
   return t;
 }
 
-/// Same verdict, and the same objective (1e-6 relative) when both report
-/// an incumbent. Stop-at-first searches compare the verdict only: which
-/// incumbent the parallel best-bound search reaches first is timing-
-/// dependent (any feasible point is a valid answer under that config), and
-/// the verdict is the product the controller consumes.
+/// Same status, and the same objective (1e-6 relative) when both ran to
+/// optimality. Stop-at-first searches compare the status only: the fast
+/// and reference trees differ (no cuts or pseudo-costs in reference mode),
+/// so their first incumbents may too, and any feasible point is a valid
+/// answer under that config.
 bool agree(const Solution& a, const Solution& b, bool stop_at_first) {
   if (a.status != b.status) return false;
   if (stop_at_first || a.status != SolveStatus::kOptimal) return true;
   const double denom = std::max(1.0, std::abs(b.objective));
   return std::abs(a.objective - b.objective) / denom <= 1e-6;
+}
+
+/// The verdict the controller consumes: 1 incumbent found, 0 infeasible,
+/// -1 budget exhausted with neither established.
+int verdict(const Solution& s) {
+  if (!s.x.empty() && (s.status == SolveStatus::kOptimal ||
+                       s.status == SolveStatus::kIterationLimit)) {
+    return 1;
+  }
+  return s.status == SolveStatus::kInfeasible ? 0 : -1;
 }
 
 }  // namespace
@@ -232,31 +237,26 @@ int main(int argc, char** argv) {
   if (reps < 1) reps = 1;
 
   auto instances = build_instances();
-  ThreadPool pool;  // hardware concurrency
   BenchReport report;
   report.bench = "milp";
 
-  std::printf("%-24s %9s %9s %9s %9s %8s %9s %10s\n", "instance", "cold_ms",
-              "warm_ms", "par_ms", "warm_spd", "nodes", "warm_nds",
-              "nodes/s");
+  std::printf("%-24s %9s %9s %8s %9s %10s %9s\n", "instance", "warm_ms",
+              "prove_ms", "nodes", "warm_nds", "nodes/s", "ref_ms");
   for (const Instance& inst : instances) {
     std::fprintf(stderr, "bench_milp: solving %s (%d rows, %d cols)\n",
                  inst.name.c_str(), inst.model.constraint_count(),
                  inst.model.variable_count());
-    BranchBoundOptions warm_opt;  // warm_start_nodes defaults to true
+    BranchBoundOptions warm_opt;
     warm_opt.node_limit = inst.node_limit;
     warm_opt.stop_at_first_incumbent = inst.stop_at_first;
-    BranchBoundOptions cold_opt = warm_opt;
-    cold_opt.warm_start_nodes = false;
-    BranchBoundOptions par_opt = warm_opt;
-    par_opt.pool = &pool;
 
-    // Reference baseline: cold branch & bound over the reference simplex
-    // (full pricing, refactorization every iteration). One timed solve.
+    // Reference baseline: branch & bound over the reference simplex (full
+    // pricing, refactorization every iteration, no root cuts or
+    // pseudo-costs). One timed solve.
     double ref_ms = 0.0;
     Solution ref_sol;
     if (inst.run_reference) {
-      BranchBoundOptions ref_opt = cold_opt;
+      BranchBoundOptions ref_opt = warm_opt;
       ref_opt.lp.reference_mode = true;
       const auto r0 = std::chrono::steady_clock::now();
       ref_sol = solve_milp(inst.model, ref_opt);
@@ -264,9 +264,7 @@ int main(int argc, char** argv) {
       ref_ms = std::chrono::duration<double, std::milli>(r1 - r0).count();
     }
 
-    const Timed cold = run_config(inst.model, cold_opt, reps);
     const Timed warm = run_config(inst.model, warm_opt, reps);
-    const Timed par = run_config(inst.model, par_opt, reps);
 
     // Optimality certificate. Stop-at-first instances exit at the first
     // incumbent by design, which says nothing about optimality — so they
@@ -282,36 +280,37 @@ int main(int argc, char** argv) {
     }
     const Timed& cert = has_prove ? prove : warm;
 
-    for (const auto* t : {&warm, &par}) {
-      const Solution& baseline = inst.run_reference ? ref_sol : cold.sol;
-      if (!agree(t->sol, baseline, inst.stop_at_first) ||
-          !agree(cold.sol, baseline, inst.stop_at_first)) {
-        std::fprintf(stderr,
-                     "bench_milp: %s: verdict/objective mismatch (cold "
-                     "status=%d obj=%.9g, got status=%d obj=%.9g, baseline "
-                     "status=%d obj=%.9g)\n",
-                     inst.name.c_str(), static_cast<int>(cold.sol.status),
-                     cold.sol.objective, static_cast<int>(t->sol.status),
-                     t->sol.objective, static_cast<int>(baseline.status),
-                     baseline.objective);
-        return 1;
-      }
+    const bool ok = inst.run_reference
+                        ? agree(warm.sol, ref_sol, inst.stop_at_first)
+                        : verdict(warm.sol) == verdict(prove.sol);
+    if (!ok) {
+      const Solution& baseline = inst.run_reference ? ref_sol : prove.sol;
+      std::fprintf(stderr,
+                   "bench_milp: %s: verdict/objective mismatch (warm "
+                   "status=%d obj=%.9g, %s status=%d obj=%.9g)\n",
+                   inst.name.c_str(), static_cast<int>(warm.sol.status),
+                   warm.sol.objective,
+                   inst.run_reference ? "reference" : "prove",
+                   static_cast<int>(baseline.status), baseline.objective);
+      return 1;
     }
 
-    const double warm_speedup =
-        warm.median_ms > 0.0 ? cold.median_ms / warm.median_ms : 0.0;
-    const double par_speedup =
-        par.median_ms > 0.0 ? cold.median_ms / par.median_ms : 0.0;
     const double nodes_per_sec =
         warm.median_ms > 0.0
             ? static_cast<double>(warm.stats.nodes_solved) /
                   (warm.median_ms / 1e3)
             : 0.0;
 
-    std::printf("%-24s %9.3f %9.3f %9.3f %8.2fx %8ld %9ld %10.0f\n",
-                inst.name.c_str(), cold.median_ms, warm.median_ms,
-                par.median_ms, warm_speedup, warm.stats.nodes_solved,
-                warm.stats.warm_started_nodes, nodes_per_sec);
+    // Runs an instance does not have print as "-".
+    const auto ms_or_dash = [](bool ran, double ms) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.3f", ms);
+      return ran ? std::string(buf) : std::string("-");
+    };
+    std::printf("%-24s %9.3f %9s %8ld %9ld %10.0f %9s\n", inst.name.c_str(),
+                warm.median_ms, ms_or_dash(has_prove, prove.median_ms).c_str(),
+                warm.stats.nodes_solved, warm.stats.warm_started_nodes,
+                nodes_per_sec, ms_or_dash(inst.run_reference, ref_ms).c_str());
 
     BenchCase c;
     c.name = inst.name;
@@ -328,14 +327,8 @@ int main(int argc, char** argv) {
         {"warm_started_nodes",
          static_cast<double>(warm.stats.warm_started_nodes)},
         {"max_depth", static_cast<double>(warm.stats.max_depth)},
-        {"cold_median_ms", cold.median_ms},
-        {"cold_p95_ms", cold.p95_ms},
         {"warm_median_ms", warm.median_ms},
         {"warm_p95_ms", warm.p95_ms},
-        {"parallel_median_ms", par.median_ms},
-        {"parallel_p95_ms", par.p95_ms},
-        {"warm_speedup_vs_cold", warm_speedup},
-        {"parallel_speedup_vs_cold", par_speedup},
         {"nodes_per_sec", nodes_per_sec},
         // Root presolve counters (schema v2): reduction of the model the
         // search actually ran on, from the warm configuration's solve.
@@ -362,15 +355,6 @@ int main(int argc, char** argv) {
     if (inst.run_reference) c.metrics.push_back({"reference_ms", ref_ms});
     report.cases.push_back(std::move(c));
   }
-
-  std::vector<double> speedups;
-  for (const BenchCase& c : report.cases) {
-    for (const auto& [k, v] : c.metrics) {
-      if (k == "warm_speedup_vs_cold") speedups.push_back(v);
-    }
-  }
-  std::printf("median warm speedup vs cold: %.2fx over %zu instances\n",
-              quantile(speedups, 0.5), speedups.size());
 
   write_bench_json(report, out_path);
   const std::string err = validate_bench_json(out_path);

@@ -173,99 +173,6 @@ Model build_recovery_model(const Topology& topo, const TunnelCatalog& catalog,
                                    nullptr, nullptr);
 }
 
-RecoveryTemplate build_recovery_template(const Topology& topo,
-                                         const TunnelCatalog& catalog,
-                                         std::span<const Demand> demands) {
-  validate_recovery_inputs(topo, catalog, demands, {});
-  // Identical structure to build_recovery_model_impl with an empty failure
-  // set: every tunnel survives, so every tunnel gets a g variable and every
-  // used link gets a capacity row. Failure sets are later expressed as
-  // bound deltas fixing dead-tunnel g to zero, which yields the same
-  // optimum as rebuilding the reduced per-failure model.
-  RecoveryTemplate tmpl;
-  std::vector<std::vector<RecoveryPairVars>> gvars;
-  tmpl.model = build_recovery_model_impl(topo, catalog, demands, {}, &gvars,
-                                         &tmpl.yvar);
-  tmpl.gvar.resize(gvars.size());
-  for (std::size_t i = 0; i < gvars.size(); ++i) {
-    tmpl.gvar[i].resize(gvars[i].size());
-    for (std::size_t p = 0; p < gvars[i].size(); ++p) {
-      tmpl.gvar[i][p] = std::move(gvars[i][p].var);
-    }
-  }
-  return tmpl;
-}
-
-namespace {
-
-/// The template with `failed_links` applied: the g of every tunnel that
-/// crosses a failed link is fixed to [0, 0].
-Model recovery_instance(const RecoveryTemplate& tmpl,
-                        const TunnelCatalog& catalog,
-                        std::span<const Demand> demands,
-                        std::span<const LinkId> failed_links) {
-  BATE_ASSERT_MSG(tmpl.gvar.size() == demands.size(),
-                  "recovery: template does not match demand set");
-  Model inst = tmpl.model;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        if (tunnel_survives(tunnels[t], failed_links)) continue;
-        Variable& g = inst.variable(tmpl.gvar[i][p][t]);
-        g.lower = 0.0;
-        g.upper = 0.0;
-      }
-    }
-  }
-  return inst;
-}
-
-/// Maps a solution in template space (g per tunnel, y per demand) to a
-/// RecoveryResult.
-RecoveryResult recovery_result_from(const RecoveryTemplate& tmpl,
-                                    const TunnelCatalog& catalog,
-                                    std::span<const Demand> demands,
-                                    const Solution& sol) {
-  RecoveryResult result;
-  result.solved = sol.status == SolveStatus::kOptimal ||
-                  (sol.status == SolveStatus::kIterationLimit &&
-                   !sol.x.empty());
-  if (!result.solved) return result;
-  result.alloc.reserve(demands.size());
-  result.full_profit.resize(demands.size(), 0);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    Allocation alloc = empty_allocation(catalog, d);
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      for (std::size_t t = 0; t < tmpl.gvar[i][p].size(); ++t) {
-        const int v = tmpl.gvar[i][p][t];
-        alloc[p][t] =
-            std::max(0.0, sol.x[static_cast<std::size_t>(v)]) * d.pairs[p].mbps;
-      }
-    }
-    result.alloc.push_back(std::move(alloc));
-    result.full_profit[i] =
-        sol.x[static_cast<std::size_t>(tmpl.yvar[i])] > 0.5 ? 1 : 0;
-  }
-  result.profit = total_profit(demands, result.full_profit);
-  return result;
-}
-
-}  // namespace
-
-RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links,
-                                     const BranchBoundOptions& options,
-                                     WarmStart* warm) {
-  const Model inst = recovery_instance(tmpl, catalog, demands, failed_links);
-  const Solution sol = solve_milp(inst, options, warm);
-  return recovery_result_from(tmpl, catalog, demands, sol);
-}
-
 RecoveryResult recover_optimal(const Topology& topo,
                                const TunnelCatalog& catalog,
                                std::span<const Demand> demands,
@@ -428,7 +335,7 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
                   "recovery: allocation set does not match demand set");
   validate_recovery_inputs(*topo_, *catalog_, demands, {});
   demands_.assign(demands.begin(), demands.end());
-  plans_.clear();  // bases_ survives: it chains rounds (see header)
+  plans_.clear();
 
   // The round's failure sets: the loaded single links, then the most
   // probable loaded pairs.
@@ -458,26 +365,9 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
     }
   }
 
-  if (!optimal_) {
-    // Algorithm 2: one greedy pass per failure set.
-    for (const auto& failed : failure_sets) {
-      plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_,
-                                            failed));
-    }
-    record_precompute(plans_.size(), obs::now_us() - t0);
-    return;
-  }
-
-  // Optimal plans share one build-once template; each failure set fixes
-  // its dead tunnels against it.
-  const RecoveryTemplate tmpl =
-      build_recovery_template(*topo_, *catalog_, demands_);
-  // cold-start: the *first* round for a failure set has no basis yet; every
-  // later round warm-starts from bases_[failed].
+  // Algorithm 2: one greedy pass per failure set.
   for (const auto& failed : failure_sets) {
-    plans_.emplace(failed,
-                   recover_with_template(tmpl, *catalog_, demands_, failed,
-                                         optimal_options_, &bases_[failed]));
+    plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_, failed));
   }
   record_precompute(plans_.size(), obs::now_us() - t0);
 }

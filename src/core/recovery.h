@@ -55,38 +55,6 @@ Model build_recovery_model(const Topology& topo, const TunnelCatalog& catalog,
                            std::span<const Demand> demands,
                            std::span<const LinkId> failed_links);
 
-/// Build-once form of the recovery MILP (12) for a fixed demand set: g
-/// variables for EVERY tunnel (not just survivors) and capacity rows for
-/// every used link at full capacity. A concrete failure set is the template
-/// with the g of each dead tunnel fixed to [0, 0]; the failed links'
-/// capacity rows then only contain fixed columns and drop out in presolve.
-/// The optimum is identical to the per-failure model build_recovery_model
-/// produces, and BackupPlanner builds the template once per round instead
-/// of one model per failure set.
-struct RecoveryTemplate {
-  Model model;
-  /// gvar[demand][pair position][tunnel] = variable index.
-  std::vector<std::vector<std::vector<int>>> gvar;
-  /// Binary y per demand (objective refund_fraction * charge).
-  std::vector<int> yvar;
-};
-
-RecoveryTemplate build_recovery_template(const Topology& topo,
-                                         const TunnelCatalog& catalog,
-                                         std::span<const Demand> demands);
-
-/// Optimal recovery through the template: fixes the dead tunnels and
-/// solves the MILP (same optimum as recover_optimal, without rebuilding the
-/// model). `warm` chains the root basis across calls exactly like
-/// recover_optimal — and because every failure set shares the template's
-/// shape, a cached basis stays compatible across sets and rounds.
-RecoveryResult recover_with_template(const RecoveryTemplate& tmpl,
-                                     const TunnelCatalog& catalog,
-                                     std::span<const Demand> demands,
-                                     std::span<const LinkId> failed_links,
-                                     const BranchBoundOptions& options = {},
-                                     WarmStart* warm = nullptr);
-
 /// Algorithm 2: greedy 2-approximation. Demands are served whole in
 /// descending profit density g_d / sum_k b^k_d; a single large demand can
 /// evict the accumulated set when its charge exceeds theirs.
@@ -96,9 +64,10 @@ RecoveryResult recover_greedy(const Topology& topo,
                               std::span<const LinkId> failed_links);
 
 /// Pre-computed backup allocations for potential failure scenarios
-/// (Sec 3.4: "BATE proactively computes backup allocation strategies").
-/// The paper precomputes single-link plans and notes the scheme "can be
-/// easily extended to deal with concurrent failures" (fn. 6); setting
+/// (Sec 3.4: "BATE proactively computes backup allocation strategies"),
+/// each one Algorithm 2 (recover_greedy) over its failure set. The paper
+/// precomputes single-link plans and notes the scheme "can be easily
+/// extended to deal with concurrent failures" (fn. 6); setting
 /// `concurrent_pairs > 0` additionally plans for the riskiest pairs of
 /// loaded links.
 class BackupPlanner {
@@ -108,21 +77,9 @@ class BackupPlanner {
       : topo_(&topo), catalog_(&catalog), concurrent_pairs_(concurrent_pairs) {}
 
   /// Computes one backup plan per loaded link, plus plans for the
-  /// `concurrent_pairs` most probable loaded link pairs. Greedy by default;
-  /// see use_optimal_plans().
+  /// `concurrent_pairs` most probable loaded link pairs.
   void precompute(std::span<const Demand> demands,
                   std::span<const Allocation> current);
-
-  /// Switches precompute() from the greedy 2-approximation to the optimal
-  /// recovery MILP under the given branch & bound budget. Each failure
-  /// set's root basis is cached across precompute() rounds: periodic
-  /// re-planning re-solves a near-identical MILP per failure set (the
-  /// demand set drifts slowly), so the root relaxation warm-starts; a
-  /// stale basis falls back to the cold path with identical plans.
-  void use_optimal_plans(const BranchBoundOptions& options) {
-    optimal_ = true;
-    optimal_options_ = options;
-  }
 
   /// The plan for a single failed link; nullptr when none was pre-computed.
   const RecoveryResult* plan(LinkId link) const;
@@ -138,14 +95,8 @@ class BackupPlanner {
   const Topology* topo_;
   const TunnelCatalog* catalog_;
   int concurrent_pairs_;
-  bool optimal_ = false;
-  BranchBoundOptions optimal_options_;
   std::vector<Demand> demands_;
   std::map<std::vector<LinkId>, RecoveryResult> plans_;
-  /// Root bases chained across precompute() rounds, keyed by failure set.
-  /// Survives plans_.clear() deliberately — the cache's whole value is the
-  /// previous round's basis.
-  std::map<std::vector<LinkId>, WarmStart> bases_;
 };
 
 }  // namespace bate

@@ -1,8 +1,8 @@
 #include "solver/branch_bound.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <queue>
 #include <utility>
@@ -13,12 +13,41 @@
 #include "solver/cuts.h"
 #include "solver/presolve.h"
 #include "util/check.h"
-#include "util/mutex.h"
-#include "util/thread_pool.h"
 
 namespace bate {
 
 namespace {
+
+// Search tuning: fixed values every solve uses (no caller tunes them).
+constexpr double kIntegerTol = 1e-6;
+static_assert(kIntegerTol > 0.0 && kIntegerTol < 0.5,
+              "branch_bound: integer tolerance outside (0, 0.5)");
+/// A popped node whose bound is within this of the incumbent is pruned.
+constexpr double kGapTol = 1e-9;
+/// Seeds the position-derived node tie-break keys (equal-bound nodes are
+/// popped in seeded key order, never in insertion order).
+constexpr std::uint64_t kTieBreakSeed = 0;
+/// Root cut-and-resolve loop (Gomory + cover, solver/cuts.h): separation
+/// rounds at the root, and total cut rows accepted across all rounds.
+constexpr int kMaxCutRounds = 8;
+constexpr int kMaxCuts = 64;
+/// Tail-off guard: stop the cut loop when a round improves the root bound
+/// by less than this (relative to max(1, |bound|)). Rounds that barely move
+/// the bound still pay for their rows in EVERY node re-solve below the
+/// root, so cutting deep into the tail is a net loss (the recovery MILPs
+/// regressed 2.5x in warm latency before this guard).
+constexpr double kMinCutImprovement = 1e-4;
+/// Structural gate: skip the cut loop entirely when integer columns make up
+/// less than this fraction of the (presolved) model. GMI cuts derived from
+/// rows dominated by continuous columns carry almost no rounding strength,
+/// and cover cuts need all-binary rows; on the recovery MILPs (~0.32
+/// integer share) the cut loop moved the root bound but grew the tree and
+/// taxed every re-solve, while the admission MILPs (~0.78) are where the
+/// order-of-magnitude node drops come from (EXPERIMENTS.md).
+constexpr double kMinCutIntegerShare = 0.5;
+/// Fractional root candidates probed by strong branching (two warm child
+/// LPs each) to seed the pseudo-cost tables.
+constexpr int kStrongBranchCandidates = 4;
 
 /// splitmix64 finalizer. Node tie keys are derived from the parent's key
 /// and the branch direction, so a node's key depends only on its position
@@ -74,8 +103,7 @@ using OpenQueue =
 /// branching fills them; `fallback` covers never-probed variables). During
 /// the search they are refined per node with the observations along that
 /// node's own ancestor chain — never with cross-tree state — so a branching
-/// decision is a pure function of tree position and the serial and parallel
-/// drivers grow identical trees.
+/// decision is a pure function of tree position.
 struct PseudoCosts {
   bool active = false;
   double fallback = 1.0;            // per-unit degradation when unobserved
@@ -96,7 +124,7 @@ struct PseudoCosts {
   }
 };
 
-/// Immutable per-search context shared by the serial and parallel drivers.
+/// Immutable per-search context.
 struct Search {
   const Model& model;
   const BranchBoundOptions& opt;
@@ -106,9 +134,8 @@ struct Search {
   PseudoCosts pc;
   /// Root relaxation already solved by prepare_root on the search model
   /// (final cut rows and probe-proven bounds included), with work counters
-  /// zeroed (the prep pass accounts its own LP work). Non-null only when
-  /// the tree warm-starts: the root expansion adopts it instead of
-  /// re-solving from the very basis that produced it.
+  /// zeroed (the prep pass accounts its own LP work). The root expansion
+  /// adopts it instead of re-solving from the very basis that produced it.
   const Solution* root_relax = nullptr;
 
   double to_min(double v) const { return maximize ? -v : v; }
@@ -119,8 +146,8 @@ struct Search {
   }
 };
 
-/// Everything one node expansion produces; the driver merges it into the
-/// search state (the parallel driver under its queue lock).
+/// Everything one node expansion produces; run_tree merges it into the
+/// search state.
 struct Expansion {
   Solution relax;
   double bound_min = kInfinity;
@@ -150,7 +177,7 @@ struct RootPrep {
 /// place). `root_warm`, when set, seeds the first root solve and receives
 /// that solve's basis back immediately — before any cut row lands — so the
 /// caller's handle keeps the pre-cut shape its postsolve mapping expects.
-RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
+RootPrep prepare_root(Model& work, const SimplexOptions& lp,
                       const std::vector<int>& int_vars, bool maximize,
                       WarmStart* root_warm, BranchBoundStats& st,
                       PseudoCosts& pc) {
@@ -163,7 +190,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
       root_warm->basis.compatible_with(work)) {
     root_basis.basis = root_warm->basis;
   }
-  Solution relax = solve_lp(work, opt.lp, &root_basis);
+  Solution relax = solve_lp(work, lp, &root_basis);
   prep.iters += relax.iterations;
   prep.pivots += relax.pivots;
   prep.dual_pivots += relax.dual_pivots;
@@ -173,7 +200,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
   }
   if (relax.status != SolveStatus::kOptimal) {
     // Infeasible / unbounded / limit roots: nothing to cut or probe. The
-    // driver's root node re-solves and reports the verdict as before.
+    // root node of run_tree re-solves and reports the verdict as before.
     prep.basis = std::move(root_basis.basis);
     prep.relax = std::move(relax);
     return prep;
@@ -185,7 +212,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
   };
   const auto has_fractional = [&] {
     for (int j : int_vars) {
-      if (fractionality(j) > opt.integer_tol) return true;
+      if (fractionality(j) > kIntegerTol) return true;
     }
     return false;
   };
@@ -195,13 +222,12 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
           ? static_cast<double>(int_vars.size()) /
                 static_cast<double>(work.variable_count())
           : 0.0;
-  if (opt.root_cuts && work.constraint_count() > 0 &&
-      integer_share >= opt.min_cut_integer_share) {
+  if (work.constraint_count() > 0 && integer_share >= kMinCutIntegerShare) {
     CutOptions copt;
-    copt.integer_tol = opt.integer_tol;
-    CutPool cut_pool(opt.max_cuts, copt.min_violation, 0.95);
+    copt.integer_tol = kIntegerTol;
+    CutPool cut_pool(kMaxCuts, copt.min_violation, 0.95);
     double bound_min = to_min(relax.objective);
-    for (int round = 0; round < opt.max_cut_rounds; ++round) {
+    for (int round = 0; round < kMaxCutRounds; ++round) {
       if (!has_fractional()) break;  // integral root: cuts have no target
       long gomory = 0;
       long cover = 0;
@@ -227,7 +253,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
       st.gomory_cuts += gomory;
       st.cover_cuts += cover;
       ++st.cut_rounds;
-      relax = solve_lp(work, opt.lp, &root_basis);
+      relax = solve_lp(work, lp, &root_basis);
       prep.iters += relax.iterations;
       prep.pivots += relax.pivots;
       prep.dual_pivots += relax.dual_pivots;
@@ -237,21 +263,20 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
       const double new_bound = to_min(relax.objective);
       const double gain = new_bound - bound_min;
       bound_min = new_bound;
-      if (gain <
-          opt.min_cut_improvement * std::max(1.0, std::abs(bound_min))) {
+      if (gain < kMinCutImprovement * std::max(1.0, std::abs(bound_min))) {
         break;
       }
     }
   }
 
-  if (opt.pseudo_cost_branching && relax.status == SolveStatus::kOptimal) {
+  if (relax.status == SolveStatus::kOptimal) {
     pc.init(work.variable_count());
     // Probe the most fractional candidates with one warm child solve per
     // direction; a one-sided infeasible probe proves the complementary
     // bound for every feasible point and tightens the root in place.
     std::vector<int> candidates;
     for (int j : int_vars) {
-      if (fractionality(j) > opt.integer_tol) candidates.push_back(j);
+      if (fractionality(j) > kIntegerTol) candidates.push_back(j);
     }
     std::sort(candidates.begin(), candidates.end(), [&](int a, int b) {
       const double fa = fractionality(a);
@@ -259,8 +284,8 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
       if (fa != fb) return fa > fb;
       return a < b;
     });
-    if (static_cast<int>(candidates.size()) > opt.strong_branch_candidates) {
-      candidates.resize(static_cast<std::size_t>(opt.strong_branch_candidates));
+    if (static_cast<int>(candidates.size()) > kStrongBranchCandidates) {
+      candidates.resize(static_cast<std::size_t>(kStrongBranchCandidates));
     }
     const double root_min = to_min(relax.objective);
     bool bounds_fixed = false;
@@ -286,7 +311,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
         }
         WarmStart probe_warm;
         probe_warm.basis = root_basis.basis;
-        const Solution child = solve_lp(work, opt.lp, &probe_warm);
+        const Solution child = solve_lp(work, lp, &probe_warm);
         var.lower = saved_lower;
         var.upper = saved_upper;
         ++st.strong_branch_solves;
@@ -321,7 +346,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
       pc.fallback = std::max(1e-3, obs_sum / static_cast<double>(obs_n));
     }
     if (bounds_fixed) {
-      relax = solve_lp(work, opt.lp, &root_basis);
+      relax = solve_lp(work, lp, &root_basis);
       prep.iters += relax.iterations;
       prep.pivots += relax.pivots;
       prep.dual_pivots += relax.dual_pivots;
@@ -336,7 +361,7 @@ RootPrep prepare_root(Model& work, const BranchBoundOptions& opt,
 /// Deterministic incumbent acceptance: a strictly better objective wins;
 /// equal objectives break ties lexicographically on x, so the final
 /// incumbent of a run-to-optimality search does not depend on the order in
-/// which workers complete nodes.
+/// which equal-objective integer nodes are reached.
 bool better_incumbent(double cand_min, const std::vector<double>& cand_x,
                       double best_min, const Solution& best) {
   if (cand_min != best_min) return cand_min < best_min;
@@ -345,10 +370,8 @@ bool better_incumbent(double cand_min, const std::vector<double>& cand_x,
 }
 
 /// Applies the node's bound chain to `work`, solves the relaxation
-/// (warm-started from the parent basis when enabled), restores `work`, and
-/// builds the children. Touches no shared search state beyond the immutable
-/// context and the `incumbent_min` snapshot, so expansions of distinct
-/// nodes run concurrently on per-worker `work` copies.
+/// (warm-started from the parent basis), restores `work`, and builds the
+/// children.
 Expansion expand(const Search& s, Model& work,
                  const std::shared_ptr<const Node>& node, double incumbent_min,
                  WarmStart* root_warm) {
@@ -373,11 +396,9 @@ Expansion expand(const Search& s, Model& work,
   WarmStart ws;
   if (is_root && root_warm != nullptr) {
     ws.basis = root_warm->basis;
-  } else if (s.opt.warm_start_nodes && node->warm != nullptr) {
+  } else if (node->warm != nullptr) {
     ws.basis = *node->warm;
   }
-  const bool track_basis =
-      s.opt.warm_start_nodes || (is_root && root_warm != nullptr);
   if (is_root && s.root_relax != nullptr && node->warm != nullptr) {
     // prepare_root already solved this exact model from this exact basis;
     // re-solving would install the optimal basis only to price it and
@@ -386,7 +407,7 @@ Expansion expand(const Search& s, Model& work,
     out.relax = *s.root_relax;
     out.warm_used = true;
   } else {
-    out.relax = solve_lp(work, s.opt.lp, track_basis ? &ws : nullptr);
+    out.relax = solve_lp(work, s.opt.lp, &ws);
     out.warm_used = ws.used;
   }
 
@@ -404,15 +425,14 @@ Expansion expand(const Search& s, Model& work,
 
   if (out.relax.status != SolveStatus::kOptimal) return out;
   out.bound_min = s.to_min(out.relax.objective);
-  if (out.bound_min >= incumbent_min - s.opt.gap_tol) return out;  // pruned
+  if (out.bound_min >= incumbent_min - kGapTol) return out;  // pruned
 
   int branch_var = -1;
   if (s.pc.active) {
     // Pseudo-cost selection: the frozen root tables refined with the
     // observed per-unit degradations along this node's own ancestor chain
     // (child realized bound minus parent bound over |pc_step|). Chain-local
-    // by design — the choice is a pure function of tree position, so the
-    // serial and parallel drivers branch identically.
+    // by design — the choice is a pure function of tree position.
     struct ChainObs {
       int var;
       bool down;
@@ -446,7 +466,7 @@ Expansion expand(const Search& s, Model& work,
     for (int j : s.int_vars) {
       const double v = out.relax.x[static_cast<std::size_t>(j)];
       const double f = v - std::floor(v);
-      if (std::min(f, 1.0 - f) <= s.opt.integer_tol) continue;
+      if (std::min(f, 1.0 - f) <= kIntegerTol) continue;
       const double score = std::max(1e-6, estimate(j, true) * f) *
                            std::max(1e-6, estimate(j, false) * (1.0 - f));
       if (score > best_score) {  // ties keep the smallest variable index
@@ -457,7 +477,7 @@ Expansion expand(const Search& s, Model& work,
     out.pc_branched = branch_var >= 0;
   } else {
     // Most fractional integer variable.
-    double best_frac = s.opt.integer_tol;
+    double best_frac = kIntegerTol;
     for (int j : s.int_vars) {
       const double v = out.relax.x[static_cast<std::size_t>(j)];
       const double frac = std::abs(v - std::round(v));
@@ -495,10 +515,7 @@ Expansion expand(const Search& s, Model& work,
     }
   }
 
-  std::shared_ptr<const Basis> child_basis;
-  if (s.opt.warm_start_nodes) {
-    child_basis = std::make_shared<const Basis>(std::move(ws.basis));
-  }
+  const auto child_basis = std::make_shared<const Basis>(std::move(ws.basis));
   const double v = out.relax.x[static_cast<std::size_t>(branch_var)];
   const double branch_frac = v - std::floor(v);
   auto make_child = [&](double clo, double chi, std::uint64_t salt,
@@ -525,7 +542,7 @@ Expansion expand(const Search& s, Model& work,
   return out;
 }
 
-/// Final bound accounting shared by both drivers. `lost_bound_min` is the
+/// Final bound accounting. `lost_bound_min` is the
 /// weakest (smallest, minimization sense) bound of any subtree the search
 /// did not close — kInfinity when the tree was fully explored, which is
 /// exactly when the verdict is proven.
@@ -544,8 +561,9 @@ void finish_bound_stats(const Search& s, BranchBoundStats& st,
   }
 }
 
-Solution run_serial(const Search& s, std::shared_ptr<const Node> root,
-                    WarmStart* root_warm, BranchBoundStats& st) {
+/// The best-bound tree search from `root`.
+Solution run_tree(const Search& s, std::shared_ptr<const Node> root,
+                  WarmStart* root_warm, BranchBoundStats& st) {
   Solution incumbent;
   incumbent.status = SolveStatus::kInfeasible;
   double incumbent_min = kInfinity;
@@ -568,7 +586,7 @@ Solution run_serial(const Search& s, std::shared_ptr<const Node> root,
   while (!open.empty()) {
     const auto node = open.top();
     open.pop();
-    if (node->lp_bound >= incumbent_min - s.opt.gap_tol) {  // pruned
+    if (node->lp_bound >= incumbent_min - kGapTol) {  // pruned
       ++st.nodes_pruned;
       continue;
     }
@@ -637,146 +655,6 @@ Solution run_serial(const Search& s, std::shared_ptr<const Node> root,
   return incumbent;
 }
 
-Solution run_parallel(const Search& s, std::shared_ptr<const Node> root,
-                      WarmStart* root_warm, BranchBoundStats& st,
-                      ThreadPool& pool) {
-  // Shared best-bound search state. Workers pop the globally best open
-  // node, expand it unlocked on a worker-local model copy, and merge the
-  // result back under `mu`. `inflight` counts popped-but-unmerged nodes so
-  // idle workers know whether more work can still appear; while waiting
-  // they drain unrelated pool tasks via run_one() instead of sleeping.
-  struct SharedState {
-    Mutex mu{LockRank::kSolver, "bnb shared"};
-    CondVar cv;
-    OpenQueue open BATE_GUARDED_BY(mu);
-    int inflight BATE_GUARDED_BY(mu) = 0;
-    long popped BATE_GUARDED_BY(mu) = 0;
-    bool stop BATE_GUARDED_BY(mu) = false;
-    bool budget_hit BATE_GUARDED_BY(mu) = false;
-    bool unbounded BATE_GUARDED_BY(mu) = false;
-    Solution unbounded_sol BATE_GUARDED_BY(mu);
-    double incumbent_min BATE_GUARDED_BY(mu) = kInfinity;
-    Solution incumbent BATE_GUARDED_BY(mu);
-    long iters BATE_GUARDED_BY(mu) = 0;
-    long pivots BATE_GUARDED_BY(mu) = 0;
-    long dual_pivots BATE_GUARDED_BY(mu) = 0;
-    double lost_bound_min BATE_GUARDED_BY(mu) = kInfinity;
-  } sh;
-  sh.incumbent.status = SolveStatus::kInfeasible;
-  sh.open.push(std::move(root));
-  st.nodes_created = 1;
-  st.open_peak = 1;
-
-  const int workers = pool.thread_count() + 1;  // caller participates
-  pool.parallel_for(workers, [&](int) {
-    Model work = s.model;
-    MutexLock lk(sh.mu);
-    for (;;) {
-      while (!sh.stop && sh.open.empty() && sh.inflight > 0) {
-        lk.unlock();
-        const bool ran = pool.run_one();
-        lk.lock();
-        if (!ran && !sh.stop && sh.open.empty() && sh.inflight > 0) {
-          sh.cv.wait_for(sh.mu, std::chrono::microseconds(200));
-        }
-      }
-      if (sh.stop || sh.open.empty()) return;  // empty implies inflight == 0
-      auto node = sh.open.top();
-      sh.open.pop();
-      if (node->lp_bound >= sh.incumbent_min - s.opt.gap_tol) {
-        ++st.nodes_pruned;
-        continue;
-      }
-      if (++sh.popped > s.opt.node_limit || s.out_of_time()) {
-        sh.budget_hit = true;
-        sh.lost_bound_min = std::min(sh.lost_bound_min, node->lp_bound);
-        sh.stop = true;
-        sh.cv.notify_all();
-        return;
-      }
-      ++sh.inflight;
-      const double incumbent_snapshot = sh.incumbent_min;
-      lk.unlock();
-
-      Expansion e;
-      try {
-        e = expand(s, work, node, incumbent_snapshot, root_warm);
-      } catch (...) {
-        // Unblock the other workers before parallel_for rethrows this on
-        // the caller; a worker that exits without merging would hang them.
-        lk.lock();
-        --sh.inflight;
-        sh.stop = true;
-        sh.cv.notify_all();
-        throw;
-      }
-
-      lk.lock();
-      --sh.inflight;
-      ++st.nodes_solved;
-      if (e.warm_used) ++st.warm_started_nodes;
-      if (e.pc_branched) ++st.pseudo_cost_branches;
-      st.max_depth = std::max(st.max_depth, node->depth);
-      sh.iters += e.relax.iterations;
-      sh.pivots += e.relax.pivots;
-      sh.dual_pivots += e.relax.dual_pivots;
-      switch (e.relax.status) {
-        case SolveStatus::kInfeasible:
-          break;
-        case SolveStatus::kUnbounded:
-          sh.unbounded = true;
-          sh.unbounded_sol = std::move(e.relax);
-          sh.stop = true;
-          break;
-        case SolveStatus::kIterationLimit:
-          sh.budget_hit = true;
-          sh.lost_bound_min = std::min(sh.lost_bound_min, node->lp_bound);
-          break;
-        case SolveStatus::kOptimal:
-          if (e.integer_feasible) {
-            if (better_incumbent(e.bound_min, e.relax.x, sh.incumbent_min,
-                                 sh.incumbent)) {
-              sh.incumbent_min = e.bound_min;
-              sh.incumbent = std::move(e.relax);
-              sh.incumbent.status = SolveStatus::kOptimal;
-              ++st.incumbent_updates;
-            }
-            if (s.opt.stop_at_first_incumbent) sh.stop = true;
-          } else {
-            st.nodes_created += static_cast<long>(e.children.size());
-            st.bound_deltas_allocated += e.deltas;
-            for (auto& c : e.children) sh.open.push(std::move(c));
-            st.open_peak =
-                std::max(st.open_peak, static_cast<long>(sh.open.size()));
-          }
-          break;
-      }
-      sh.cv.notify_all();
-      if (sh.stop) return;
-    }
-  });
-
-  Solution out;
-  if (sh.unbounded) {
-    out = std::move(sh.unbounded_sol);
-    st.proven = true;
-    st.mip_gap = 0.0;
-  } else {
-    out = std::move(sh.incumbent);
-    if (sh.budget_hit) out.status = SolveStatus::kIterationLimit;
-    if (!sh.open.empty()) {
-      sh.lost_bound_min =
-          std::min(sh.lost_bound_min, sh.open.top()->lp_bound);
-    }
-    finish_bound_stats(s, st, sh.lost_bound_min, sh.incumbent_min);
-  }
-  out.iterations = sh.iters;
-  out.pivots = sh.pivots;
-  out.dual_pivots = sh.dual_pivots;
-  out.nodes = st.nodes_solved;
-  return out;
-}
-
 /// The branch & bound search itself, on whatever model it is given (the
 /// presolved reduction or, when presolve is off, the original).
 Solution run_search(const Model& model, const BranchBoundOptions& options,
@@ -788,28 +666,27 @@ Solution run_search(const Model& model, const BranchBoundOptions& options,
   }
 
   auto root = std::make_shared<Node>();
-  root->tie = mix64(options.tie_break_seed ^ 0x6a09e667f3bcc908ull);
+  root->tie = mix64(kTieBreakSeed ^ 0x6a09e667f3bcc908ull);
 
   // Root preparation: cuts and strong branching run on a private augmented
   // copy (the search then explores that copy — children inherit the cut
   // rows through their re-solves). Reference mode keeps the plain
   // relaxation tree as the oracle.
-  const bool prep_on = !options.lp.reference_mode && !int_vars.empty() &&
-                       (options.root_cuts || options.pseudo_cost_branching);
+  const bool prep_on = !options.lp.reference_mode && !int_vars.empty();
   Model augmented;
   const Model* search_model = &model;
   PseudoCosts pc;
   RootPrep prep;
-  WarmStart* driver_warm = root_warm;
+  WarmStart* tree_warm = root_warm;
   if (prep_on) {
     augmented = model;
-    prep = prepare_root(augmented, options, int_vars, maximize, root_warm, st,
-                        pc);
+    prep = prepare_root(augmented, options.lp, int_vars, maximize, root_warm,
+                        st, pc);
     search_model = &augmented;
     // The caller's handle already received the pre-cut root basis inside
     // prepare_root; the tree itself restarts from the post-cut basis held
-    // by the root node, so the drivers must not touch the handle again.
-    driver_warm = nullptr;
+    // by the root node, so run_tree must not touch the handle again.
+    tree_warm = nullptr;
     if (!prep.basis.empty()) {
       root->warm = std::make_shared<const Basis>(std::move(prep.basis));
     }
@@ -817,13 +694,10 @@ Solution run_search(const Model& model, const BranchBoundOptions& options,
 
   Search s{*search_model, options,    maximize,
            std::move(int_vars),       obs::now_us(), std::move(pc)};
-  if (prep_on && options.warm_start_nodes &&
-      prep.relax.status == SolveStatus::kOptimal) {
-    // Hand the already-solved root relaxation to the drivers. Work counters
+  if (prep_on && prep.relax.status == SolveStatus::kOptimal) {
+    // Hand the already-solved root relaxation to run_tree. Work counters
     // are zeroed — the prep pass's totals are folded into `sol` below, and
-    // the adopted copy must not count them twice. The cold configuration
-    // (warm_start_nodes off) keeps re-solving the root from scratch: its
-    // whole point is measuring cold per-node solves.
+    // the adopted copy must not count them twice.
     prep.relax.iterations = prep.relax.pivots = prep.relax.dual_pivots = 0;
     prep.relax.refactorizations = prep.relax.pricing_resets = 0;
     prep.relax.nodes = 0;
@@ -832,27 +706,15 @@ Solution run_search(const Model& model, const BranchBoundOptions& options,
     s.root_relax = &prep.relax;
   }
 
-  ThreadPool* pool = options.pool;
-  if (pool != nullptr && pool->current_worker() >= 0) {
-    pool = nullptr;  // already inside the pool: serial fallback (no nesting)
-  }
-  if (pool != nullptr &&
-      search_model->constraint_count() < options.parallel_min_rows) {
-    pool = nullptr;  // small tree: the queue lock costs more than it buys
-  }
-  st.used_parallel = pool != nullptr;
-  Solution sol =
-      pool != nullptr
-          ? run_parallel(s, std::move(root), driver_warm, st, *pool)
-          : run_serial(s, std::move(root), driver_warm, st);
+  Solution sol = run_tree(s, std::move(root), tree_warm, st);
   sol.iterations += prep.iters;
   sol.pivots += prep.pivots;
   sol.dual_pivots += prep.dual_pivots;
   return sol;
 }
 
-/// One registry flush per MILP solve; the node loops only bump the plain
-/// BranchBoundStats fields (serial, or under the queue lock in parallel).
+/// One registry flush per MILP solve; the node loop only bumps the plain
+/// BranchBoundStats fields.
 void record_milp_solve(const BranchBoundStats& st, std::int64_t total_us) {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::global();
@@ -986,8 +848,6 @@ Solution solve_milp_impl(const Model& model, const BranchBoundOptions& options,
 Solution solve_milp(const Model& model, const BranchBoundOptions& options,
                     WarmStart* root_warm, BranchBoundStats* stats) {
   BATE_ASSERT_MSG(options.node_limit > 0, "branch_bound: node_limit <= 0");
-  BATE_ASSERT_MSG(options.integer_tol > 0.0 && options.integer_tol < 0.5,
-                  "branch_bound: integer_tol outside (0, 0.5)");
   BATE_TRACE_SPAN("solver.solve_milp");
   BranchBoundStats local;
   BranchBoundStats& st = stats != nullptr ? *stats : local;

@@ -10,81 +10,34 @@
 // candidates. Branching is then pseudo-cost driven (product score of the
 // estimated per-unit bound degradations, refined along each node's ancestor
 // chain from observed child bounds); most-fractional remains the fallback
-// when pseudo-costs are disabled. The whole pass is skipped in
-// `lp.reference_mode`, which stays the plain-relaxation oracle.
+// when the root relaxation did not solve to optimality. The whole pass is
+// skipped in `lp.reference_mode`, which stays the plain-relaxation oracle.
 //
 // Each open node holds one bound delta against its parent (the full bound
 // set of a node is its chain to the root) and a shared handle on the
 // parent's final simplex basis, so child relaxations warm-start and skip
-// Phase 1 on almost every node. With `pool` set, open nodes are explored by
-// a parallel best-bound tree search whose incumbent objective is
-// deterministic for a fixed seed (DESIGN.md "Solver performance").
+// Phase 1 on almost every node. The search is serial and deterministic:
+// equal-bound nodes pop in a position-derived key order (DESIGN.md "Solver
+// performance").
 #pragma once
-
-#include <cstdint>
 
 #include "solver/model.h"
 #include "solver/simplex.h"
 
 namespace bate {
 
-class ThreadPool;
-
+/// The tuning constants (tolerances, cut-loop limits, strong-branching
+/// width) live in branch_bound.cpp; these are the knobs callers set.
 struct BranchBoundOptions {
   int node_limit = 200000;
   /// Wall-clock budget; <= 0 means unlimited. When exhausted the incumbent
   /// (if any) is returned with status kIterationLimit.
   double time_limit_seconds = 0.0;
-  double integer_tol = 1e-6;
-  /// Relative optimality gap at which the search stops.
-  double gap_tol = 1e-9;
   /// Stop as soon as any integer-feasible solution is found (for
-  /// feasibility-style MILPs where optimality is irrelevant). With a pool,
-  /// *which* feasible point is found first is scheduling-dependent; only
-  /// run-to-optimality searches have a deterministic incumbent objective.
+  /// feasibility-style MILPs where optimality is irrelevant).
   bool stop_at_first_incumbent = false;
-  /// Children warm-start from the parent relaxation's final basis. Off
-  /// reproduces the PR 2 cold-per-node behaviour (benches, debugging);
-  /// either way the incumbent is the same, only the work differs.
-  bool warm_start_nodes = true;
-  /// Seeds the position-derived node tie-break keys (equal-bound nodes are
-  /// popped in seeded key order, never in insertion/scheduling order).
-  std::uint64_t tie_break_seed = 0;
-  /// Parallel tree search across this pool's workers plus the caller; null
-  /// keeps the serial search. A call from inside a pool worker falls back
-  /// to serial (nested parallel_for could deadlock — see thread_pool.h).
-  ThreadPool* pool = nullptr;
-  /// Models with fewer rows than this stay serial even with `pool` set: on
-  /// small trees the queue lock and per-worker model copies cost more than
-  /// the parallelism returns (the recovery MILPs' parallel_speedup_vs_cold
-  /// sat below 1.0 before this cutoff). Set to 0 to force the parallel
-  /// driver regardless of size (tests pinning serial/parallel equivalence).
-  int parallel_min_rows = 64;
-  /// Root cut-and-resolve loop (Gomory + cover, solver/cuts.h). Ignored in
-  /// reference mode.
-  bool root_cuts = true;
-  int max_cut_rounds = 8;   // separation rounds at the root
-  int max_cuts = 64;        // total cut rows accepted across all rounds
-  /// Tail-off guard: stop the cut loop when a round improves the root
-  /// bound by less than this (relative to max(1, |bound|)). Rounds that
-  /// barely move the bound still pay for their rows in EVERY node re-solve
-  /// below the root, so cutting deep into the tail is a net loss (the
-  /// recovery MILPs regressed 2.5x in warm latency before this guard).
-  double min_cut_improvement = 1e-4;
-  /// Structural gate: skip the cut loop entirely when integer columns make
-  /// up less than this fraction of the (presolved) model. GMI cuts derived
-  /// from rows dominated by continuous columns carry almost no rounding
-  /// strength, and cover cuts need all-binary rows; on the recovery MILPs
-  /// (~0.32 integer share) the cut loop moved the root bound but grew the
-  /// tree and taxed every re-solve, while the admission MILPs (~0.78) are
-  /// where the order-of-magnitude node drops come from (EXPERIMENTS.md).
-  double min_cut_integer_share = 0.5;
-  /// Pseudo-cost branching, initialized by strong branching at the root.
-  /// Off falls back to most-fractional selection. Ignored in reference mode.
-  bool pseudo_cost_branching = true;
-  /// Fractional root candidates probed by strong branching (two warm child
-  /// LPs each) to seed the pseudo-cost tables.
-  int strong_branch_candidates = 4;
+  /// `lp.reference_mode` runs the plain-relaxation oracle: no root cuts or
+  /// strong branching, most-fractional branching, reference simplex.
   SimplexOptions lp;
 };
 
@@ -114,9 +67,6 @@ struct BranchBoundStats {
   /// Nodes whose branching variable was chosen by pseudo-cost score (the
   /// remainder used the most-fractional fallback).
   long pseudo_cost_branches = 0;
-  /// Whether the parallel driver actually ran (pool set, not nested, and
-  /// the model cleared `parallel_min_rows`).
-  bool used_parallel = false;
   /// Bound accounting: `proven` is true when the search closed the tree
   /// (every node explored or pruned — the verdict is exact, not budget
   /// limited). `best_bound` is the strongest proven bound on the optimum in

@@ -21,6 +21,9 @@ constexpr double kFeasEps = 1e-6;
 
 double feas_margin(double rhs) { return kFeasEps * (1.0 + std::abs(rhs)); }
 
+/// Reduction passes before giving up on reaching a fixed point.
+constexpr int kMaxPasses = 10;
+
 /// Drop-a-row redundancy margin: much tighter than the feasibility margin —
 /// a row is only removed when every point of the bound box satisfies it.
 double red_margin(double rhs) { return 1e-9 * (1.0 + std::abs(rhs)); }
@@ -44,7 +47,7 @@ struct ActBound {
 
 /// The working state of one presolve run. Rows and columns are never
 /// compacted mid-run; `row_alive_` / `var_alive_` mask them out and the
-/// final `finalize()` builds the compacted reduced model plus the scaling.
+/// final `finalize()` builds the compacted reduced model.
 ///
 /// Storage is two flat CSR arenas built once in the constructor: a row
 /// arena (`tv_`/`tc_`, segment [row_start_[i], row_start_[i]+row_len_[i]))
@@ -149,7 +152,7 @@ class Presolver {
   bool run() {
     if (infeasible_) return false;
     std::vector<int> rows_now, cols_now;
-    for (int pass = 0; pass < opt_.max_passes; ++pass) {
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
       const bool full = pass == 0;
       if (!full) {
         if (next_rows_.empty() && next_cols_.empty()) break;
@@ -297,10 +300,9 @@ class Presolver {
   /// Bound tightening from constraint propagation; records the generating
   /// row so postsolve can transfer the bound's reduced cost onto it.
   void try_tighten(int j, bool upper, double nb, int row, double coef) {
-    if (!opt_.tighten_bounds) return;
     // Lower lifts move the simplex cold-start point (x = lower); they are
     // only worth it under branch & bound, where bound boxes prune nodes.
-    if (!upper && !opt_.tighten_lower && !opt_.for_milp) return;
+    if (!upper && !opt_.for_milp) return;
     if (!std::isfinite(nb) || std::abs(nb) > 1e12) return;
     if (opt_.for_milp && integer_[idx(j)]) {
       nb = upper ? std::floor(nb + 1e-6) : std::ceil(nb - 1e-6);
@@ -781,82 +783,28 @@ void Presolver::finalize(PresolveResult& out) {
   const int nr = static_cast<int>(post_.red_var_.size());
   const int mr = static_cast<int>(post_.red_row_.size());
 
-  // Geometric-mean scaling (powers of two so the mapping back is exact;
-  // integer columns keep scale 1; MILP presolves skip scaling entirely so
-  // branch & bound sees the builders' coefficients unchanged).
-  std::vector<double> rscale(static_cast<std::size_t>(m_), 1.0);
-  std::vector<double> cscale(static_cast<std::size_t>(n_), 1.0);
-  bool scaled = false;
-  if (opt_.scale && !opt_.for_milp) {
-    auto pow2 = [](double g) {
-      const double e = std::round(-0.5 * g);
-      return std::exp2(std::min(20.0, std::max(-20.0, e)));
-    };
-    for (int i = 0; i < m_; ++i) {
-      if (!row_alive_[idx(i)] || row_len_[idx(i)] == 0) continue;
-      double lgmin = 0.0, lgmax = 0.0;
-      bool first = true;
-      for (int k = row_begin(i), e = row_end(i); k < e; ++k) {
-        const double lg = std::log2(std::abs(tc_[idx(k)]));
-        lgmin = first ? lg : std::min(lgmin, lg);
-        lgmax = first ? lg : std::max(lgmax, lg);
-        first = false;
-      }
-      rscale[idx(i)] = pow2(lgmin + lgmax);
-      if (rscale[idx(i)] != 1.0) scaled = true;
-    }
-    for (int j = 0; j < n_; ++j) {
-      if (!var_alive_[idx(j)] || integer_[idx(j)]) continue;
-      double lgmin = 0.0, lgmax = 0.0;
-      bool first = true;
-      for (int p = col_start_[idx(j)]; p < col_start_[idx(j) + 1]; ++p) {
-        const int i = cr_[idx(p)];
-        if (!row_alive_[idx(i)]) continue;
-        const double lg = std::log2(std::abs(cc_[idx(p)]) * rscale[idx(i)]);
-        lgmin = first ? lg : std::min(lgmin, lg);
-        lgmax = first ? lg : std::max(lgmax, lg);
-        first = false;
-      }
-      if (!first) {
-        cscale[idx(j)] = pow2(lgmin + lgmax);
-        if (cscale[idx(j)] != 1.0) scaled = true;
-      }
-    }
-  }
-  post_.scaled_ = scaled;
-
-  // Build the reduced (scaled) model. Variable names are not carried over:
-  // the reduced model is solver-internal and postsolve maps by index.
+  // Build the reduced model. Variable names are not carried over: the
+  // reduced model is solver-internal and postsolve maps by index.
   Model red;
   red.set_sense(model_.sense());
-  post_.col_scale_.reserve(static_cast<std::size_t>(nr));
-  post_.row_scale_.reserve(static_cast<std::size_t>(mr));
   post_.red_lo_.reserve(static_cast<std::size_t>(nr));
   post_.red_hi_.reserve(static_cast<std::size_t>(nr));
   for (int jr = 0; jr < nr; ++jr) {
     const int j = post_.red_var_[idx(jr)];
-    const double s = cscale[idx(j)];
     const Variable& v = model_.variable(j);
-    const double lo = lo_[idx(j)] / s;
-    const double hi = std::isfinite(hi_[idx(j)]) ? hi_[idx(j)] / s
-                                                 : hi_[idx(j)];
-    red.add_variable(lo, hi, v.objective * s);
+    red.add_variable(lo_[idx(j)], hi_[idx(j)], v.objective);
     if (v.integer) red.set_integer(jr);
-    post_.col_scale_.push_back(s);
-    post_.red_lo_.push_back(lo);
-    post_.red_hi_.push_back(hi);
+    post_.red_lo_.push_back(lo_[idx(j)]);
+    post_.red_hi_.push_back(hi_[idx(j)]);
   }
   for (int ir = 0; ir < mr; ++ir) {
     const int i = post_.red_row_[idx(ir)];
-    const double r = rscale[idx(i)];
     std::vector<Term> terms;
     terms.reserve(static_cast<std::size_t>(row_len_[idx(i)]));
     for (int k = row_begin(i), e = row_end(i); k < e; ++k) {
-      terms.push_back({post_.var_map_[idx(tv_[idx(k)])],
-                       tc_[idx(k)] * r * cscale[idx(tv_[idx(k)])]});
+      terms.push_back({post_.var_map_[idx(tv_[idx(k)])], tc_[idx(k)]});
     }
-    red.add_constraint(std::move(terms), rel_[idx(i)], rhs_[idx(i)] * r);
-    post_.row_scale_.push_back(r);
+    red.add_constraint(std::move(terms), rel_[idx(i)], rhs_[idx(i)]);
   }
   out.reduced = std::move(red);
   out.post = std::move(post_);
@@ -952,7 +900,7 @@ Solution Postsolve::expand(const Model& original,
   const std::size_t n = static_cast<std::size_t>(orig_vars_);
   const std::size_t m = static_cast<std::size_t>(orig_rows_);
 
-  // Primal: kept columns map back (unscaled), removed columns take their
+  // Primal: kept columns map back by index, removed columns take their
   // recorded values, free-slack columns re-absorb their row's residual in
   // reverse removal order (later removals have values by then).
   out.x.assign(n, 0.0);
@@ -960,10 +908,8 @@ Solution Postsolve::expand(const Model& original,
     if (var_map_[j] < 0) out.x[j] = fixed_value_[j];
   }
   for (std::size_t jr = 0; jr < red_var_.size(); ++jr) {
-    const double s = scaled_ ? col_scale_[jr] : 1.0;
-    const double xv =
+    out.x[static_cast<std::size_t>(red_var_[jr])] =
         jr < reduced.x.size() ? reduced.x[jr] : red_lo_[jr];
-    out.x[static_cast<std::size_t>(red_var_[jr])] = xv * s;
   }
   for (auto it = actions_.rbegin(); it != actions_.rend(); ++it) {
     if (it->kind != Act::kFreeSlack) continue;
@@ -988,8 +934,7 @@ Solution Postsolve::expand(const Model& original,
   // Everything below works in minimization sense; convert on the way out.
   std::vector<double> y(m, 0.0);
   for (std::size_t ir = 0; ir < red_row_.size(); ++ir) {
-    const double r = scaled_ ? row_scale_[ir] : 1.0;
-    const double ym = reduced.duals[ir] * r;  // model sense, original scale
+    const double ym = reduced.duals[ir];  // model sense
     y[static_cast<std::size_t>(red_row_[ir])] = maximize ? -ym : ym;
   }
   std::vector<double> d(n);

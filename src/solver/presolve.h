@@ -13,11 +13,11 @@
 //  * variables whose objective and column signs all push toward one finite
 //    bound are fixed there (dual fixing; also removes empty columns);
 //  * zero-cost columns with a free upper bound appearing in a single
-//    inequality row absorb that row (the column acts as a free surplus);
-//  * optionally (PresolveOptions::scale) the reduced model is geometric-
-//    mean scaled — powers of two, so solutions map back exactly, and
-//    integer-marked columns keep scale 1. Off by default: the scheduling
-//    LPs solve in ~10% fewer iterations unscaled (EXPERIMENTS.md).
+//    inequality row absorb that row (the column acts as a free surplus).
+//
+// The reduced model keeps the original coefficients unscaled: the
+// scheduling LPs solve in ~10% fewer iterations unscaled than under
+// geometric-mean scaling (EXPERIMENTS.md).
 //
 // Every reduction appends an entry to a Postsolve record that maps the
 // reduced solution back to a FULL primal x and a FULL dual vector for the
@@ -42,32 +42,14 @@
 namespace bate {
 
 struct PresolveOptions {
-  /// Numerical zero for coefficients / improvement thresholds.
-  double tol = 1e-9;
-  /// Geometric-mean scale the reduced model (powers of two, exactly
-  /// invertible). Off by default: the scheduling LPs carry a wide but
-  /// benign coefficient spread (probability terms vs capacity terms), and
-  /// equilibrating it was measured to disturb the pricing order for ~10%
-  /// extra iterations (EXPERIMENTS.md). Turn on for models whose spread
-  /// actually causes basis-factor instability.
-  bool scale = false;
-  /// Tighten variable bounds by constraint propagation (min/max row
-  /// activity). Redundant-row and infeasibility detection from activities
-  /// stay on regardless; this only gates rewriting the bounds themselves.
-  bool tighten_bounds = true;
-  /// Lift LOWER bounds during propagation. Off by default: the simplex
-  /// cold start sits at x = lower, so every lifted lower bound moves the
-  /// Phase-1 start point and (measured on the scheduling LPs) costs ~10%
-  /// extra iterations while enabling no further reductions. Upper-bound
-  /// tightening keeps the start point and stays on. MILP presolves turn
-  /// this on (for_milp) because branch & bound prunes by bound boxes.
-  bool tighten_lower = false;
-  /// Reduction passes before giving up on reaching a fixed point.
-  int max_passes = 10;
   /// MILP mode: round tightened integer bounds inward, declare integer
-  /// variables fixed at fractional values infeasible, and skip reductions
-  /// that are only valid for continuous relaxations. No dual recovery is
-  /// performed (branch & bound returns no duals).
+  /// variables fixed at fractional values infeasible, lift lower bounds
+  /// during propagation (branch & bound prunes by bound boxes), and skip
+  /// reductions that are only valid for continuous relaxations. No dual
+  /// recovery is performed (branch & bound returns no duals). LP mode
+  /// tightens upper bounds only: the simplex cold start sits at x = lower,
+  /// and lifted lower bounds moved that start point for ~10% extra
+  /// iterations on the scheduling LPs while enabling no further reductions.
   bool for_milp = false;
 };
 
@@ -95,9 +77,9 @@ struct PresolveStats {
 /// model. Built by presolve_model; consumed by solve_lp / solve_milp.
 class Postsolve {
  public:
-  /// True when presolve found nothing to do (no reductions, no scaling):
-  /// the caller should solve the original model directly.
-  bool trivial() const { return actions_.empty() && !scaled_; }
+  /// True when presolve found nothing to do (no reductions): the caller
+  /// should solve the original model directly.
+  bool trivial() const { return actions_.empty(); }
 
   /// Maps a solution of the reduced model to a solution of `original`
   /// (which must be the exact model that was presolved): full primal x,
@@ -152,7 +134,6 @@ class Postsolve {
 
   int orig_vars_ = 0;
   int orig_rows_ = 0;
-  bool scaled_ = false;
   bool milp_ = false;  // no dual recovery
   double obj_offset_ = 0.0;   // model-sense objective of the removed vars
   std::vector<int> var_map_;  // original var -> reduced var, -1 if removed
@@ -161,8 +142,7 @@ class Postsolve {
   std::vector<int> red_row_;  // reduced row -> original row
   std::vector<double> fixed_value_;      // per original var; kept vars 0
   std::vector<VarStatus> fixed_status_;  // bound side for removed vars
-  std::vector<double> col_scale_, row_scale_;  // reduced space; powers of 2
-  std::vector<double> red_lo_, red_hi_;  // reduced (scaled) bounds
+  std::vector<double> red_lo_, red_hi_;  // reduced bounds
   std::vector<Action> actions_;
 };
 

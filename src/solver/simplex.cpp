@@ -15,6 +15,17 @@ namespace bate {
 
 namespace {
 
+// Engine tuning: fixed values every solve uses (no caller tunes them).
+constexpr int kMaxIterations = 200000;   // across both phases
+constexpr double kTol = 1e-7;            // feasibility / optimality tolerance
+constexpr double kPivotTol = 1e-9;       // minimum |pivot| magnitude
+constexpr int kDegenerateSwitch = 60;    // degenerate pivots before Bland
+/// Pivots between basis refactorizations (eta-file rebuild; also the
+/// basic-value refresh cadence bounding numerical drift).
+constexpr int kRecomputeEvery = 256;
+static_assert(kMaxIterations > 0 && kTol > 0.0 && kPivotTol > 0.0,
+              "simplex: nonsensical tuning constants");
+
 /// Tableau-consistency contract (check.h): every row must reference declared
 /// variables with finite coefficients, and no bound or rhs may be NaN. A
 /// model violating this produced out-of-bounds column indexing (UB) before;
@@ -83,7 +94,7 @@ class SimplexEngine {
     // carry nonzero value.
     double art_total = 0.0;
     for (int j = first_artificial_; j < ncols_; ++j) art_total += x_[sz(j)];
-    if (art_total > opt_.tol) {
+    if (art_total > kTol) {
       set_phase1_objective();
       const SolveStatus st = iterate();
       if (st == SolveStatus::kIterationLimit) return finish(st);
@@ -153,11 +164,11 @@ class SimplexEngine {
       c_.assign(sz(ncols_), 0.0);
       for (int r = 0; r < m_; ++r) {
         const int b = basis_[sz(r)];
-        if (x_[sz(b)] < lower_[sz(b)] - opt_.tol) {
+        if (x_[sz(b)] < lower_[sz(b)] - kTol) {
           shifts.push_back({b, lower_[sz(b)], upper_[sz(b)]});
           lower_[sz(b)] = x_[sz(b)];
           c_[sz(b)] = -1.0;  // minimize: drive up toward the true lower bound
-        } else if (x_[sz(b)] > upper_[sz(b)] + opt_.tol) {
+        } else if (x_[sz(b)] > upper_[sz(b)] + kTol) {
           shifts.push_back({b, lower_[sz(b)], upper_[sz(b)]});
           upper_[sz(b)] = x_[sz(b)];
           c_[sz(b)] = 1.0;  // drive down toward the true upper bound
@@ -198,7 +209,7 @@ class SimplexEngine {
       for (const Shift& s : shifts) {
         if (!in_basis_[sz(s.col)]) continue;
         const double xv = x_[sz(s.col)];
-        if (xv < s.lo - opt_.tol || xv > s.hi + opt_.tol) ++still_violating;
+        if (xv < s.lo - kTol || xv > s.hi + kTol) ++still_violating;
       }
       if (!snapped_nonbasic &&
           still_violating == static_cast<int>(shifts.size())) {
@@ -328,8 +339,8 @@ class SimplexEngine {
     for (int r = 0; r < m_; ++r) {
       const double resid = rhs_[sz(r)] - activity[sz(r)];
       const int slack = nstruct_ + r;
-      const bool slack_ok = resid >= lower_[sz(slack)] - opt_.tol &&
-                            resid <= upper_[sz(slack)] + opt_.tol;
+      const bool slack_ok = resid >= lower_[sz(slack)] - kTol &&
+                            resid <= upper_[sz(slack)] + kTol;
       if (slack_ok) {
         basis_[sz(r)] = slack;
         in_basis_[sz(slack)] = 1;
@@ -626,12 +637,12 @@ class SimplexEngine {
     if (in_basis_[sz(j)]) return false;
     if (lower_[sz(j)] == upper_[sz(j)]) return false;  // fixed
     const double d = d_[sz(j)];
-    if (!at_upper_[sz(j)] && d < -opt_.tol) {
+    if (!at_upper_[sz(j)] && d < -kTol) {
       score = -d;
       dir = 1.0;
       return true;
     }
-    if (at_upper_[sz(j)] && d > opt_.tol) {
+    if (at_upper_[sz(j)] && d > kTol) {
       score = d;
       dir = -1.0;
       return true;
@@ -639,10 +650,9 @@ class SimplexEngine {
     return false;
   }
 
-  int pricing_window() const {
-    if (opt_.pricing_window > 0) return opt_.pricing_window;
-    return std::max(64, ncols_ / 8);
-  }
+  /// Columns scanned per partial-pricing round, sized from the column
+  /// count. Ignored in reference mode.
+  int pricing_window() const { return std::max(64, ncols_ / 8); }
 
   /// Partial pricing against the cached reduced costs: scan from the
   /// rotating cursor, Dantzig-best within the window, extending the scan
@@ -651,7 +661,7 @@ class SimplexEngine {
   int price(bool bland, double& enter_dir) {
     if (bland || opt_.reference_mode) {
       int best_j = -1;
-      double best = opt_.tol;
+      double best = kTol;
       for (int j = 0; j < ncols_; ++j) {
         double score = 0.0;
         double dir = 0.0;
@@ -670,7 +680,7 @@ class SimplexEngine {
     }
     const int window = pricing_window();
     int best_j = -1;
-    double best = opt_.tol;
+    double best = kTol;
     int j = price_cursor_;
     for (int scanned = 1; scanned <= ncols_; ++scanned) {
       double score = 0.0;
@@ -707,12 +717,12 @@ class SimplexEngine {
 
   // --- Dual simplex ----------------------------------------------------------
 
-  /// Basic values all inside their bounds (tolerance opt_.tol)?
+  /// Basic values all inside their bounds (tolerance kTol)?
   bool primal_feasible() const {
     for (int r = 0; r < m_; ++r) {
       const int b = basis_[sz(r)];
-      if (x_[sz(b)] < lower_[sz(b)] - opt_.tol ||
-          x_[sz(b)] > upper_[sz(b)] + opt_.tol) {
+      if (x_[sz(b)] < lower_[sz(b)] - kTol ||
+          x_[sz(b)] > upper_[sz(b)] + kTol) {
         return false;
       }
     }
@@ -728,8 +738,8 @@ class SimplexEngine {
       if (lower_[sz(j)] == upper_[sz(j)]) continue;
       const double d = d_[sz(j)];
       if (at_upper_[sz(j)]) {
-        if (d > opt_.tol) return false;
-      } else if (d < -opt_.tol) {
+        if (d > kTol) return false;
+      } else if (d < -kTol) {
         return false;
       }
     }
@@ -764,18 +774,18 @@ class SimplexEngine {
         alpha_seen_[sz(j)] = 0;
       }
     };
-    while (iterations_ < opt_.iteration_limit) {
+    while (iterations_ < kMaxIterations) {
       ++iterations_;
       ++iters_since_recompute_;
-      if (pivots_since_refactor_ >= opt_.recompute_every) {
+      if (pivots_since_refactor_ >= kRecomputeEvery) {
         refactorize();
-      } else if (iters_since_recompute_ >= opt_.recompute_every) {
+      } else if (iters_since_recompute_ >= kRecomputeEvery) {
         recompute_basics();
       }
 
       // Leaving row: most-violating basic (Dantzig-style dual pricing).
       int r = -1;
-      double viol = opt_.tol;
+      double viol = kTol;
       bool below = false;
       for (int i = 0; i < m_; ++i) {
         const int b = basis_[sz(i)];
@@ -833,7 +843,7 @@ class SimplexEngine {
         if (in_basis_[sz(j)]) continue;
         if (lower_[sz(j)] == upper_[sz(j)]) continue;  // fixed: cannot move
         const double a = alpha_[sz(j)];
-        if (std::abs(a) <= opt_.pivot_tol) continue;
+        if (std::abs(a) <= kPivotTol) continue;
         const double eff = at_upper_[sz(j)] ? a : -a;
         if ((delta > 0.0 && eff <= 0.0) || (delta < 0.0 && eff >= 0.0)) {
           continue;
@@ -859,7 +869,7 @@ class SimplexEngine {
       for (const Term& t : column(q, unit)) w_[sz(t.var)] = t.coef;
       ftran(w_);
       const double pivot = w_[sz(r)];
-      if (std::abs(pivot) <= opt_.pivot_tol) {
+      if (std::abs(pivot) <= kPivotTol) {
         reset_alpha();
         if (pivots_since_refactor_ > 0) {
           refactorize();  // retry the row on a fresh factorization
@@ -903,10 +913,10 @@ class SimplexEngine {
       // Anti-cycling: a long run of zero-length dual steps could cycle;
       // the composite repair (Bland-guarded primal) takes over instead.
       degenerate_run =
-          (best_ratio <= opt_.tol && std::abs(dt) <= opt_.tol)
+          (best_ratio <= kTol && std::abs(dt) <= kTol)
               ? degenerate_run + 1
               : 0;
-      if (degenerate_run >= opt_.degenerate_switch) return DualResult::kStall;
+      if (degenerate_run >= kDegenerateSwitch) return DualResult::kStall;
     }
     return DualResult::kIterationLimit;
   }
@@ -917,19 +927,19 @@ class SimplexEngine {
     int degenerate_run = 0;
     Term unit;
 
-    while (iterations_ < opt_.iteration_limit) {
+    while (iterations_ < kMaxIterations) {
       ++iterations_;
       ++iters_since_recompute_;
       if (opt_.reference_mode) {
         refactorize();
-      } else if (pivots_since_refactor_ >= opt_.recompute_every) {
+      } else if (pivots_since_refactor_ >= kRecomputeEvery) {
         refactorize();
-      } else if (iters_since_recompute_ >= opt_.recompute_every) {
+      } else if (iters_since_recompute_ >= kRecomputeEvery) {
         // Long bound-flip runs append no etas but still drift x.
         recompute_basics();
       }
 
-      const bool bland = degenerate_run >= opt_.degenerate_switch;
+      const bool bland = degenerate_run >= kDegenerateSwitch;
       // Bland's anti-cycling argument needs exact reduced-cost signs.
       if (bland && !d_exact_) recompute_reduced_costs();
 
@@ -957,7 +967,7 @@ class SimplexEngine {
       double leave_pivot = 0.0;
       for (int r = 0; r < m_; ++r) {
         const double rate = -enter_dir * w_[sz(r)];
-        if (std::abs(rate) <= opt_.pivot_tol) continue;
+        if (std::abs(rate) <= kPivotTol) continue;
         const int b = basis_[sz(r)];
         double limit;
         if (rate > 0.0) {
@@ -982,7 +992,7 @@ class SimplexEngine {
       // leave_row < 0 branch was unreachable.)
       if (t_max == kInfinity) return SolveStatus::kUnbounded;
 
-      degenerate_run = (t_max <= opt_.tol) ? degenerate_run + 1 : 0;
+      degenerate_run = (t_max <= kTol) ? degenerate_run + 1 : 0;
 
       if (leave_row < 0) {
         // Bound flip: entering variable crosses to its other bound.
@@ -998,7 +1008,7 @@ class SimplexEngine {
       // Pivot.
       ++pivots_;
       ++pivots_since_refactor_;
-      BATE_DCHECK_MSG(std::abs(leave_pivot) > opt_.pivot_tol,
+      BATE_DCHECK_MSG(std::abs(leave_pivot) > kPivotTol,
                       "simplex: pivot below tolerance");
       // Reduced-cost update needs the pivot row of the OLD basis inverse;
       // do it before the eta append changes the file. The reference mode
@@ -1183,9 +1193,6 @@ void record_lp_solve(const Solution& sol, std::int64_t total_us) {
 Solution solve_lp_impl(const Model& model, const SimplexOptions& options,
                        WarmStart* warm) {
   validate_model(model);
-  BATE_ASSERT_MSG(options.iteration_limit > 0 && options.tol > 0.0 &&
-                      options.pivot_tol > 0.0,
-                  "simplex: nonsensical options");
   // Reference mode bypasses presolve the same way it bypasses pricing and
   // warm starts: it is the pre-overhaul baseline, byte for byte.
   if (!options.presolve || options.reference_mode) {

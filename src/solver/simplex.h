@@ -14,7 +14,7 @@
 //
 //  * B^-1 is never formed. Each pivot appends one sparse eta factor; FTRAN /
 //    BTRAN stream through the eta file, and the file is rebuilt from the
-//    basis columns (reinversion) every `recompute_every` pivots.
+//    basis columns (reinversion) every 256 pivots.
 //  * Reduced costs are cached for every column and updated from the pivot
 //    row after each basis change (d' = d - (d_q / w_r) * alpha_r), instead
 //    of recomputing c_j - y'A_j for all columns each iteration.
@@ -90,17 +90,10 @@ struct WarmStart {
   bool used = false;
 };
 
+/// The engine's tolerances, iteration limit, refactorization cadence and
+/// pricing window are fixed constants in simplex.cpp; these are the knobs
+/// callers set.
 struct SimplexOptions {
-  int iteration_limit = 200000;        // across both phases
-  double tol = 1e-7;                   // feasibility / optimality tolerance
-  double pivot_tol = 1e-9;             // minimum |pivot| magnitude
-  int degenerate_switch = 60;          // consecutive degenerate pivots before Bland
-  /// Pivots between basis refactorizations (eta-file rebuild; also the
-  /// basic-value refresh cadence bounding numerical drift).
-  int recompute_every = 256;
-  /// Columns scanned per partial-pricing round; 0 picks a size from the
-  /// column count. Ignored in reference mode.
-  int pricing_window = 0;
   /// Debug / equivalence baseline: full pricing over exact reduced costs and
   /// a refactorization every iteration. Orders of magnitude slower; only for
   /// tests and the bench_solver before/after comparison.

@@ -17,7 +17,7 @@
 //
 // Threading: the controller deliberately owns NO locks — all of its state
 // is confined to the event-loop thread (cross-thread mutation goes through
-// EventLoop's pending queue). When replication (ROADMAP item 4) adds
+// EventLoop's pending queue). When replication (ROADMAP item 7) adds
 // controller-side shared state, its mutexes must be bate::Mutex with
 // LockRank::kController — the top of the hierarchy in util/mutex.h, since
 // controller paths call into every layer below (DESIGN.md Sec 8.5).

@@ -93,11 +93,12 @@ enum class LockRank : int {
                       // metrics (kObsRegistry) but never log under the lock
   kLogger = 15,       // util/log.h sink; check-failure paths log under locks
   kThreadPool = 20,   // pool + per-worker queue locks; tasks run lock-free
-  kSolver = 30,       // parallel branch & bound shared search state
+  kSolver = 30,       // solver-layer state; no src/ holder today (the
+                      // B&B search is serial), mutex_test + tsa probes use it
   kScheduler = 35,    // scheduler joint-pattern cache
   kEventLoop = 40,    // cross-thread watcher-mutation queue
   kBroker = 50,       // broker enforcer state + socket write ordering
-  kController = 60,   // reserved: controller replication state (ROADMAP 3/4)
+  kController = 60,   // reserved: controller replication state (ROADMAP 7)
 };
 
 namespace lock_rank {

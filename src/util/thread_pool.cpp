@@ -9,14 +9,6 @@
 
 namespace bate {
 
-namespace {
-// Worker identity for current_worker(): which pool this thread belongs to
-// (if any) and its index there. Plain thread_locals — no synchronization
-// needed, each thread only reads/writes its own copy.
-thread_local const ThreadPool* tl_pool = nullptr;
-thread_local int tl_worker = -1;
-}  // namespace
-
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -84,31 +76,7 @@ bool ThreadPool::try_pop(int self, std::function<void()>& task) {
   return false;
 }
 
-int ThreadPool::current_worker() const {
-  return tl_pool == this ? tl_worker : -1;
-}
-
-bool ThreadPool::run_one() {
-  {
-    MutexLock lock(mu_);
-    if (pending_ == 0) return false;
-    --pending_;
-  }
-  std::function<void()> task;
-  const int self = current_worker();
-  if (!try_pop(self >= 0 ? self : 0, task)) {
-    // Lost the race to a worker; return the claim.
-    MutexLock lock(mu_);
-    ++pending_;
-    return false;
-  }
-  task();
-  return true;
-}
-
 void ThreadPool::worker_loop(int self) {
-  tl_pool = this;
-  tl_worker = self;
   for (;;) {
     std::function<void()> task;
     {

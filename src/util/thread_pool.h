@@ -48,17 +48,6 @@ class ThreadPool {
   /// all indices completed. Rethrows the first body exception.
   void parallel_for(int n, const std::function<void(int)>& body);
 
-  /// Index of the calling thread if it is one of THIS pool's workers, else
-  /// -1 (external threads, and workers of other pools). Lets callers detect
-  /// they are already inside the pool and avoid nesting parallel_for.
-  int current_worker() const;
-
-  /// Pops and runs one pending task on the calling thread, if any. Returns
-  /// whether a task ran. Safe from any thread; idle waiters (e.g. a branch &
-  /// bound worker with an empty open-node queue) use it to keep draining the
-  /// pool instead of holding a worker hostage.
-  bool run_one();
-
   /// Process-wide shared pool (lazily constructed, never destroyed before
   /// exit). Use for library-internal parallelism so layers don't each spawn
   /// their own thread herd.

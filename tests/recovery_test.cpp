@@ -1,6 +1,7 @@
 // Tests for failure recovery (Sec 3.4, Appendix D): the Fig 4 backup
 // example, optimal MILP vs greedy (2-approximation property, exact on
-// knapsack-like single-bottleneck instances), and the backup planner.
+// knapsack-like single-bottleneck instances), and the backup planner with
+// its concurrent-pair extension (fn. 6).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -199,49 +200,43 @@ TEST(BackupPlanner, PrecomputesPlansForLoadedLinks) {
   }
 }
 
-// Optimal plans go through the build-once template with each failure
-// set's dead tunnels fixed to zero; every plan must match a from-scratch
-// recover_optimal on the per-failure model.
-TEST(BackupPlanner, OptimalPlansMatchRecoverOptimal) {
+// BackupPlanner(concurrent_pairs) plans the riskiest loaded link pairs on
+// top of the single links; plan_for takes an exact pair match where one was
+// planned and falls back to the single-link plan of the most failure-prone
+// member otherwise.
+TEST(BackupPlannerExtension, ConcurrentPairPlansAreUsed) {
   const Topology topo = testbed6();
   const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  std::vector<Demand> demands(2);
+  demands[0].id = 1;
+  demands[0].pairs = {{catalog.pair_index({0, 2}), 400.0}};
+  demands[0].availability_target = 0.99;
+  demands[0].charge = 400.0;
+  demands[1].id = 2;
+  demands[1].pairs = {{catalog.pair_index({0, 4}), 500.0}};
+  demands[1].availability_target = 0.95;
+  demands[1].charge = 500.0;
+  const auto r = scheduler.schedule(demands);
+  ASSERT_TRUE(r.feasible);
 
-  std::vector<Demand> demands;
-  for (int i = 0; i < 10; ++i) {
-    demands.push_back(make_demand(i, i % catalog.pair_count(),
-                                  40.0 + 13.0 * (i % 4),
-                                  10.0 + static_cast<double>(i),
-                                  0.2 + 0.15 * static_cast<double>(i % 5)));
-  }
-  std::vector<Allocation> current;
-  for (const Demand& d : demands) {
-    Allocation a;
-    for (const auto& pr : d.pairs) {
-      const auto& tunnels = catalog.tunnels(pr.pair);
-      a.emplace_back(tunnels.size(),
-                     pr.mbps / static_cast<double>(tunnels.size()));
-    }
-    current.push_back(std::move(a));
-  }
+  BackupPlanner single(topo, catalog, 0);
+  BackupPlanner pairs(topo, catalog, 8);
+  single.precompute(demands, r.alloc);
+  pairs.precompute(demands, r.alloc);
+  EXPECT_GT(pairs.plan_count(), single.plan_count());
 
-  BackupPlanner planner(topo, catalog, 4);
-  planner.use_optimal_plans(BranchBoundOptions{});
-  planner.precompute(demands, current);
-  ASSERT_GT(planner.plan_count(), 0u);
-
-  int checked = 0;
+  // plan_for: exact pair match where planned, single-link fallback else.
+  std::vector<LinkId> loaded;
+  const auto usage = link_usage(topo, catalog, demands, r.alloc);
   for (LinkId e = 0; e < topo.link_count(); ++e) {
-    const RecoveryResult* plan = planner.plan(e);
-    if (plan == nullptr) continue;
-    const std::vector<LinkId> failed = {e};
-    const RecoveryResult want = recover_optimal(topo, catalog, demands, failed);
-    EXPECT_EQ(plan->solved, want.solved) << "link " << e;
-    EXPECT_NEAR(plan->profit, want.profit,
-                1e-6 * std::max(1.0, std::abs(want.profit)))
-        << "link " << e;
-    ++checked;
+    if (usage[static_cast<std::size_t>(e)] > 1e-9) loaded.push_back(e);
   }
-  EXPECT_GT(checked, 0);
+  ASSERT_GE(loaded.size(), 2u);
+  const LinkId two[] = {loaded[0], loaded[1]};
+  EXPECT_NE(pairs.plan_for(two), nullptr);
+  EXPECT_NE(single.plan_for(two), nullptr);  // falls back to single plan
+  EXPECT_EQ(single.plan_for({}), nullptr);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 // unique in value, not in basis).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <random>
 
@@ -18,10 +17,8 @@
 #include "core/scheduling.h"
 #include "routing/tunnels.h"
 #include "solver/branch_bound.h"
-#include "solver/presolve.h"
 #include "solver/simplex.h"
 #include "topology/catalog.h"
-#include "util/thread_pool.h"
 #include "workload/demand.h"
 
 namespace bate {
@@ -316,34 +313,23 @@ TEST(SimplexWarmStart, DualSimplexServesBoundTightenedResolves) {
   EXPECT_GT(dual_pivots, 0);
 }
 
-TEST(BranchBound, WarmStartedNodesMatchColdAndReference) {
+TEST(BranchBound, WarmStartedNodesMatchReference) {
   long warm_nodes = 0;
   for (int k = 0; k < 100; ++k) {
     const std::uint64_t s = 31000u + static_cast<std::uint64_t>(k);
     const Model m = random_milp(s);
 
-    BranchBoundOptions warm_opt;  // warm_start_nodes defaults to true
-    BranchBoundOptions cold_opt;
-    cold_opt.warm_start_nodes = false;
     BranchBoundOptions ref_opt;
-    ref_opt.warm_start_nodes = false;
     ref_opt.lp.reference_mode = true;
 
     BranchBoundStats warm_st;
-    const Solution a = solve_milp(m, warm_opt, nullptr, &warm_st);
-    const Solution b = solve_milp(m, cold_opt);
+    const Solution a = solve_milp(m, {}, nullptr, &warm_st);
     const Solution r = solve_milp(m, ref_opt);
     warm_nodes += warm_st.warm_started_nodes;
 
     ASSERT_EQ(a.status, SolveStatus::kOptimal) << "seed " << s;
-    ASSERT_EQ(b.status, SolveStatus::kOptimal) << "seed " << s;
     ASSERT_EQ(r.status, SolveStatus::kOptimal) << "seed " << s;
-    EXPECT_NEAR(a.objective, b.objective, 1e-6) << "seed " << s;
     EXPECT_NEAR(a.objective, r.objective, 1e-6) << "seed " << s;
-    ASSERT_EQ(a.x.size(), b.x.size()) << "seed " << s;
-    for (std::size_t j = 0; j < a.x.size(); ++j) {
-      EXPECT_NEAR(a.x[j], b.x[j], 1e-5) << "seed " << s << " var " << j;
-    }
   }
   // Parent bases must actually seed child relaxations across the suite.
   EXPECT_GT(warm_nodes, 0);
@@ -379,56 +365,6 @@ TEST(BranchBound, RootWarmStartRoundTrip) {
   EXPECT_TRUE(warm.used);  // second root relaxation accepted the basis
   ASSERT_EQ(b.status, SolveStatus::kOptimal);
   EXPECT_NEAR(a.objective, b.objective, 1e-9);
-}
-
-TEST(BranchBoundParallel, MatchesSerialOnSeededSuite) {
-  ThreadPool pool(4);
-  for (int k = 0; k < 100; ++k) {
-    const std::uint64_t s = 32000u + static_cast<std::uint64_t>(k);
-    const Model m = random_milp(s);
-
-    BranchBoundOptions serial_opt;
-    BranchBoundOptions par_opt;
-    par_opt.pool = &pool;
-    par_opt.parallel_min_rows = 0;  // force the parallel driver: these
-                                    // instances sit below the serial cutoff
-
-    BranchBoundStats par_st;
-    const Solution a = solve_milp(m, serial_opt);
-    const Solution b = solve_milp(m, par_opt, nullptr, &par_st);
-    EXPECT_TRUE(par_st.used_parallel) << "seed " << s;
-    ASSERT_EQ(a.status, SolveStatus::kOptimal) << "seed " << s;
-    ASSERT_EQ(b.status, SolveStatus::kOptimal) << "seed " << s;
-    EXPECT_NEAR(a.objective, b.objective, 1e-6) << "seed " << s;
-    ASSERT_EQ(a.x.size(), b.x.size()) << "seed " << s;
-    for (std::size_t j = 0; j < a.x.size(); ++j) {
-      EXPECT_NEAR(a.x[j], b.x[j], 1e-5) << "seed " << s << " var " << j;
-    }
-  }
-}
-
-TEST(BranchBoundParallel, NestedCallFallsBackToSerial) {
-  // solve_milp invoked from inside the same pool (a Campaign worker calling
-  // admission checks, say) must not recurse into run_parallel; the nested
-  // call detects it is on a pool worker and runs serially.
-  ThreadPool pool(2);
-  const Model m = random_milp(32050);
-  const Solution want = solve_milp(m);
-  ASSERT_EQ(want.status, SolveStatus::kOptimal);
-
-  std::atomic<int> ok{0};
-  pool.parallel_for(4, [&](int) {
-    BranchBoundOptions opt;
-    opt.pool = &pool;
-    opt.parallel_min_rows = 0;  // the nested-call guard, not the size
-                                // cutoff, must be what keeps this serial
-    const Solution got = solve_milp(m, opt);
-    if (got.status == SolveStatus::kOptimal &&
-        std::abs(got.objective - want.objective) < 1e-6) {
-      ok++;
-    }
-  });
-  EXPECT_EQ(ok.load(), 4);
 }
 
 TEST(SimplexEquivalence, SolutionCarriesWorkCounters) {
@@ -542,38 +478,6 @@ TEST_P(PresolveEquivalenceRandom, MatchesReferenceWithValidDuals) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PresolveEquivalenceRandom,
                          ::testing::Range(0, 20));
-
-TEST(PresolveEquivalence, NonDefaultOptionsMatchReference) {
-  // Geometric-mean scaling and LP-mode lower-bound lifting are off by
-  // default (presolve.h explains the measurements); this keeps both code
-  // paths — and their postsolve transfers — under the same equivalence
-  // bar as the default configuration.
-  PresolveOptions popt;
-  popt.scale = true;
-  popt.tighten_lower = true;
-  for (std::uint64_t s = 9600; s < 9660; ++s) {
-    const std::string what =
-        "presolve all-options random_lp seed " + std::to_string(s);
-    const Model model = random_lp(s);
-    const Solution ref = reference_solve(model);
-    const auto pre = presolve_model(model, popt);
-    Solution fast;
-    if (pre.infeasible) {
-      fast.status = SolveStatus::kInfeasible;
-    } else {
-      SimplexOptions off;
-      off.presolve = false;
-      fast = pre.post.expand(model, solve_lp(pre.reduced, off));
-    }
-    ASSERT_EQ(fast.status, ref.status) << what;
-    if (ref.status != SolveStatus::kOptimal) continue;
-    const double denom = std::max(1.0, std::abs(ref.objective));
-    EXPECT_LE(std::abs(fast.objective - ref.objective) / denom, kRelTol)
-        << what;
-    EXPECT_TRUE(model.feasible(fast.x, 1e-6)) << what;
-    expect_strong_duality(model, fast, what);
-  }
-}
 
 TEST(PresolveEquivalence, BuilderModels) {
   const Topology topo = testbed6();

@@ -5,12 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
-#include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace bate {
@@ -99,55 +96,6 @@ TEST(ThreadPool, SingleThreadPoolStillCompletes) {
 TEST(ThreadPool, SharedPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::shared(), &ThreadPool::shared());
   EXPECT_GE(ThreadPool::shared().thread_count(), 1);
-}
-
-TEST(ThreadPool, CurrentWorkerIdentity) {
-  ThreadPool pool(3);
-  // The external (calling) thread is not a worker.
-  EXPECT_EQ(pool.current_worker(), -1);
-  Mutex mu{LockRank::kSolver, "test seen"};
-  std::set<int> seen;
-  pool.parallel_for(64, [&](int) {
-    const int w = pool.current_worker();
-    MutexLock lock(mu);
-    seen.insert(w);
-  });
-  // Indices ran either on the caller (-1) or on workers [0, 3).
-  for (int w : seen) {
-    EXPECT_GE(w, -1);
-    EXPECT_LT(w, 3);
-  }
-  // Workers of a different pool are not workers of this one.
-  ThreadPool other(1);
-  other.parallel_for(2, [&](int) {
-    if (other.current_worker() >= 0) {
-      EXPECT_EQ(pool.current_worker(), -1);
-    }
-  });
-}
-
-TEST(ThreadPool, RunOneDrainsPendingTask) {
-  ThreadPool pool(1);
-  // Occupy the only worker so submitted tasks stay queued.
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> ran{0};
-  pool.submit([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  // Wait until the worker has claimed the blocker, then queue real work.
-  while (!started.load()) std::this_thread::yield();
-  pool.submit([&] { ran++; });
-  pool.submit([&] { ran++; });
-  // The external thread drains the queue cooperatively.
-  int drained = 0;
-  while (drained < 2) {
-    if (pool.run_one()) ++drained;
-  }
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_FALSE(pool.run_one());  // queue empty now
-  release.store(true);
 }
 
 }  // namespace

@@ -27,8 +27,14 @@
 // ledger PR) added the system bench's slo chaos case (slo_demands,
 // slo_crosscheck_max_abs_err, slo_min/mean_availability, slo_worst_burn)
 // and the solver obs-overhead arms now exercise the ledger + time-series
-// store. All changes are additive: the container shape is unchanged, the
-// validator accepts v1-v6 files, and the version field is informational
+// store. The one removal came after v6: the milp bench stopped timing its
+// cold-node and parallel branch & bound configurations when those solver
+// paths were deleted, dropping cold_median_ms, cold_p95_ms,
+// parallel_median_ms, parallel_p95_ms, warm_speedup_vs_cold and
+// parallel_speedup_vs_cold (no version bump: no gate or validator rule read
+// them, and BENCH_milp.json lost them by hand with every other number
+// kept). All other changes are additive: the container shape is unchanged,
+// the validator accepts v1-v6 files, and the version field is informational
 // for downstream diffing.
 //
 // validate_bench_json re-parses an emitted file with a minimal hand-rolled

@@ -23,9 +23,10 @@
 #                  match the shared simulator arithmetic within 1e-9 across
 #                  a link-flap chaos run); bate_top --once --json --check
 #                  against a live --serve stack; then runs the obs-overhead
-#                  gate (bench_solver --obs-overhead: metrics enabled, the
-#                  SLO ledger and the time-series store must stay within 3%
-#                  of the BATE_OBS_OFF=1 median, DESIGN.md Sec 9)
+#                  gate (bench_solver --obs-overhead: with metrics, the SLO
+#                  ledger and the time-series store enabled, the median
+#                  per-pair on/off ratio over alternating-order pairs must
+#                  stay within 3% of BATE_OBS_OFF=1, DESIGN.md Sec 9)
 #
 # Every leg uses the CMakePresets.json presets, so a CI runner and a
 # developer shell run the identical configuration. Legs can be selected:
