@@ -14,14 +14,14 @@
 //
 // A second case exercises the availability-SLO ledger:
 //
-//  * slo — chaos run: demands admitted through the pipeline, then brokers
-//    flap links down/up while the controller's ledger accrues degraded /
-//    recovered windows; a slice of demands is withdrawn. The ledger is then
-//    scraped over the kSloRequest RPC and every reported availability is
-//    cross-checked against an independent replay of that demand's
-//    transition log through a fresh obs::AvailabilityMeter — the same
-//    arithmetic src/sim uses — and must agree within 1e-9
-//    (slo_crosscheck_max_abs_err).
+//  * slo — chaos run: demands admitted through the pipeline, then a broker
+//    flaps the links that cut DC6 off, down/up, while the controller's
+//    ledger accrues degraded / recovered windows; a slice of demands is
+//    withdrawn. The ledger is then scraped over the kSloRequest RPC and
+//    every reported availability is cross-checked against an independent
+//    replay of that demand's transition log through a fresh
+//    obs::AvailabilityMeter — the same arithmetic src/sim uses — and must
+//    agree within 1e-9 (slo_crosscheck_max_abs_err).
 //
 // Usage:
 //   bench_system [--arrivals N] [--slo-arrivals N]
@@ -29,9 +29,9 @@
 //                [--serve SEC --port-file PATH]
 //
 // --serve starts the controller + brokers, admits the slo workload, keeps
-// flapping links for SEC seconds while writing the controller's port to
-// PATH, so an external scraper (tools/ci.sh runs `bate_top --once --check`)
-// can poll a live stack.
+// flapping the DC6 links for SEC seconds while writing the controller's
+// port to PATH, so an external scraper (tools/ci.sh runs
+// `bate_top --once --check`) can poll a live stack.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -39,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,19 +193,26 @@ ControllerConfig slo_controller_config() {
   return cfg;
 }
 
-/// Takes `count` distinct links down — overlapping, not one at a time — then
-/// repairs them, pausing `dwell_ms` after every report. Overlap matters: the
-/// active backup plan avoids only the most recently failed link, so with two
-/// or more links down some demands are planned through another dead link and
-/// the ledger accrues real degraded windows (single-link flaps are healed
-/// completely by the backup plan and never degrade anything).
-void flap_links(Broker& b, int count, int dwell_ms) {
-  for (int i = 0; i < count; ++i) {
-    b.report_link(static_cast<LinkId>(i), false);
+/// The four directed links of testbed6's L7 (DC5-DC6) and L8 (DC1-DC6):
+/// every link DC6 has.
+std::vector<LinkId> dc6_links(const Topology& topo) {
+  return {topo.find_link(4, 5), topo.find_link(5, 4), topo.find_link(0, 5),
+          topo.find_link(5, 0)};
+}
+
+/// Takes `links` down one after another, so the failures overlap, then
+/// repairs them, pausing `dwell_ms` after every report. Brokers enforce a
+/// backup plan over exactly the down set, which keeps every demand whole
+/// while one of its tunnels survives; the ledger accrues degraded windows
+/// because the DC6 set cuts a DC off, leaving demands to or from it no
+/// tunnel at all until a link comes back.
+void flap_links(Broker& b, std::span<const LinkId> links, int dwell_ms) {
+  for (const LinkId link : links) {
+    b.report_link(link, false);
     std::this_thread::sleep_for(std::chrono::milliseconds(dwell_ms));
   }
-  for (int i = 0; i < count; ++i) {
-    b.report_link(static_cast<LinkId>(i), true);
+  for (const LinkId link : links) {
+    b.report_link(link, true);
     std::this_thread::sleep_for(std::chrono::milliseconds(dwell_ms));
   }
 }
@@ -338,7 +346,7 @@ SloCaseResult run_slo_case(const Topology& topo, const TunnelCatalog& catalog,
     }
     res.admitted = static_cast<long>(admitted_ids.size());
 
-    flap_links(b0, /*count=*/3, /*dwell_ms=*/40);
+    flap_links(b0, dc6_links(topo), /*dwell_ms=*/40);
 
     // Withdraw a tail slice: those meters must freeze at finalize time.
     const std::size_t withdrawn = admitted_ids.size() / 10;
@@ -400,7 +408,7 @@ int serve_stack(const Topology& topo, const TunnelCatalog& catalog,
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
   while (std::chrono::steady_clock::now() < deadline) {
-    flap_links(b0, /*count=*/2, /*dwell_ms=*/50);
+    flap_links(b0, dc6_links(topo), /*dwell_ms=*/50);
   }
 
   controller.stop();

@@ -33,6 +33,11 @@ void validate_recovery_inputs(const Topology& topo,
   }
 }
 
+/// A link carrying at most this much scheduled traffic is unaffected by its
+/// failure: precompute() plans no backup for it and enforce() keeps the
+/// primaries while only such links are down.
+constexpr double kLoadedMbps = 1e-9;
+
 bool link_failed(std::span<const LinkId> failed, LinkId id) {
   return std::find(failed.begin(), failed.end(), id) != failed.end();
 }
@@ -302,8 +307,8 @@ RecoveryResult recover_greedy(const Topology& topo,
 
 namespace {
 
-/// Backup-plan cache outcome (obs: bate_recovery_*). A hit means a failure
-/// lookup found a precomputed plan (exact or single-link fallback).
+/// Backup-plan lookup outcome (obs: bate_recovery_*). A hit means a failure
+/// found a precomputed plan; a miss means none covered it.
 void record_plan_lookup(bool hit) {
   if (!obs::enabled()) return;
   static obs::Counter& hits =
@@ -337,66 +342,48 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
   demands_.assign(demands.begin(), demands.end());
   plans_.clear();
 
-  // The round's failure sets: the loaded single links, then the most
-  // probable loaded pairs.
+  // Algorithm 2: one greedy pass per loaded link.
   const auto usage = link_usage(*topo_, *catalog_, demands, current);
-  std::vector<LinkId> loaded;
-  std::vector<std::vector<LinkId>> failure_sets;
   for (LinkId e = 0; e < topo_->link_count(); ++e) {
-    if (usage[static_cast<std::size_t>(e)] <= 1e-9) continue;  // unaffected
-    loaded.push_back(e);
-    failure_sets.push_back({e});
-  }
-  if (concurrent_pairs_ > 0) {
-    std::vector<std::pair<double, std::vector<LinkId>>> pairs;
-    for (std::size_t a = 0; a < loaded.size(); ++a) {
-      for (std::size_t b = a + 1; b < loaded.size(); ++b) {
-        pairs.push_back({topo_->link(loaded[a]).failure_prob *
-                             topo_->link(loaded[b]).failure_prob,
-                         {loaded[a], loaded[b]}});
-      }
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& x, const auto& y) { return x.first > y.first; });
-    const int count = std::min<int>(concurrent_pairs_,
-                                    static_cast<int>(pairs.size()));
-    for (int i = 0; i < count; ++i) {
-      failure_sets.push_back(std::move(pairs[static_cast<std::size_t>(i)].second));
-    }
-  }
-
-  // Algorithm 2: one greedy pass per failure set.
-  for (const auto& failed : failure_sets) {
-    plans_.emplace(failed, recover_greedy(*topo_, *catalog_, demands_, failed));
+    if (usage[static_cast<std::size_t>(e)] <= kLoadedMbps) continue;
+    const LinkId failed[] = {e};
+    plans_.emplace(e, recover_greedy(*topo_, *catalog_, demands_, failed));
   }
   record_precompute(plans_.size(), obs::now_us() - t0);
 }
 
 const RecoveryResult* BackupPlanner::plan(LinkId link) const {
-  const auto it = plans_.find(std::vector<LinkId>{link});
+  const auto it = plans_.find(link);
   const RecoveryResult* r = it == plans_.end() ? nullptr : &it->second;
   record_plan_lookup(r != nullptr);
   return r;
 }
 
-const RecoveryResult* BackupPlanner::plan_for(
-    std::span<const LinkId> failed) const {
-  if (failed.empty()) return nullptr;
-  std::vector<LinkId> key(failed.begin(), failed.end());
-  std::sort(key.begin(), key.end());
-  const auto exact = plans_.find(key);
-  if (exact != plans_.end()) {
-    record_plan_lookup(true);
-    return &exact->second;
+std::span<const Allocation> BackupPlanner::enforce(
+    std::span<const Demand> demands, std::span<const Allocation> primaries,
+    std::span<const LinkId> down) {
+  BATE_ASSERT_MSG(primaries.size() == demands.size(),
+                  "recovery: allocation set does not match demand set");
+  if (down.empty()) return primaries;
+  for (const LinkId e : down) {
+    BATE_ASSERT_MSG(e >= 0 && e < topo_->link_count(),
+                    "recovery: failed link outside topology");
   }
-  // Fall back to the single-link plan of the most failure-prone member.
-  LinkId worst = key.front();
-  for (LinkId e : key) {
-    if (topo_->link(e).failure_prob > topo_->link(worst).failure_prob) {
-      worst = e;
-    }
+  const auto usage = link_usage(*topo_, *catalog_, demands, primaries);
+  if (std::none_of(down.begin(), down.end(), [&](LinkId e) {
+        return usage[static_cast<std::size_t>(e)] > kLoadedMbps;
+      })) {
+    return primaries;
   }
-  return plan(worst);
+  // Precomputed plans are per link and were computed over demands_, so one
+  // covers `down` only when both match.
+  if (down.size() == 1 && std::ranges::equal(demands, demands_)) {
+    if (const RecoveryResult* r = plan(down.front())) return r->alloc;
+  } else {
+    record_plan_lookup(false);
+  }
+  computed_ = recover_greedy(*topo_, *catalog_, demands, down);
+  return computed_.alloc;
 }
 
 }  // namespace bate

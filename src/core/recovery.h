@@ -7,7 +7,8 @@
 // multicommodity flow); recover_optimal solves it by branch & bound and
 // recover_greedy implements the 2-approximation of Algorithm 2. Backup
 // allocations are pre-computed per single-link failure (Fig 4) so the
-// controller can react immediately.
+// controller can react immediately, and BackupPlanner::enforce is the one
+// rule that decides what brokers enforce for any set of down links.
 #pragma once
 
 #include <map>
@@ -65,38 +66,48 @@ RecoveryResult recover_greedy(const Topology& topo,
 
 /// Pre-computed backup allocations for potential failure scenarios
 /// (Sec 3.4: "BATE proactively computes backup allocation strategies"),
-/// each one Algorithm 2 (recover_greedy) over its failure set. The paper
-/// precomputes single-link plans and notes the scheme "can be easily
-/// extended to deal with concurrent failures" (fn. 6); setting
-/// `concurrent_pairs > 0` additionally plans for the riskiest pairs of
-/// loaded links.
+/// each one Algorithm 2 (recover_greedy) over one loaded link, and the rule
+/// that picks what brokers enforce. The paper notes the scheme "can be
+/// easily extended to deal with concurrent failures" (fn. 6): enforce()
+/// does so by running Algorithm 2 over exactly the down set when no
+/// precomputed plan covers it.
 class BackupPlanner {
  public:
-  BackupPlanner(const Topology& topo, const TunnelCatalog& catalog,
-                int concurrent_pairs = 0)
-      : topo_(&topo), catalog_(&catalog), concurrent_pairs_(concurrent_pairs) {}
+  BackupPlanner(const Topology& topo, const TunnelCatalog& catalog)
+      : topo_(&topo), catalog_(&catalog) {}
 
-  /// Computes one backup plan per loaded link, plus plans for the
-  /// `concurrent_pairs` most probable loaded link pairs.
+  /// Computes one backup plan per link that `current` loads.
   void precompute(std::span<const Demand> demands,
                   std::span<const Allocation> current);
 
   /// The plan for a single failed link; nullptr when none was pre-computed.
   const RecoveryResult* plan(LinkId link) const;
-  /// Best pre-computed plan for a failed link set: exact match first, then
-  /// the single-link plan of the most failure-prone member, else nullptr.
-  const RecoveryResult* plan_for(std::span<const LinkId> failed) const;
   std::size_t plan_count() const { return plans_.size(); }
   /// The demand set the plans were computed for (index-aligned with each
   /// plan's allocations).
   const std::vector<Demand>& demands() const { return demands_; }
 
+  /// What brokers enforce for `demands`, scheduled as `primaries`, while
+  /// the links `down` are failed; index-aligned with `demands`:
+  ///  * `primaries` itself while no down link carries their traffic
+  ///    (returned without a scan when `down` is empty);
+  ///  * else the plan precomputed for exactly `down`, when precompute()
+  ///    last saw `demands`;
+  ///  * else Algorithm 2 over exactly `down`, computed on the spot.
+  /// Every rate the last two put on a tunnel crossing a down link is 0.
+  /// The table views `primaries` or this planner: it is valid while
+  /// `primaries` lives and until the next precompute() or enforce().
+  std::span<const Allocation> enforce(std::span<const Demand> demands,
+                                      std::span<const Allocation> primaries,
+                                      std::span<const LinkId> down);
+
  private:
   const Topology* topo_;
   const TunnelCatalog* catalog_;
-  int concurrent_pairs_;
   std::vector<Demand> demands_;
-  std::map<std::vector<LinkId>, RecoveryResult> plans_;
+  std::map<LinkId, RecoveryResult> plans_;
+  /// enforce()'s table for a down set no precomputed plan covers.
+  RecoveryResult computed_;
 };
 
 }  // namespace bate

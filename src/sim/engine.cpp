@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <map>
+#include <span>
 
 #include "core/pricing.h"
 #include "obs/availability.h"
@@ -20,11 +20,12 @@ struct ActiveDemand {
 
 /// Delivered bandwidth per (active demand, pair) for one second, given the
 /// failed link set, after the rescale policy and congestion scaling.
+/// `enforced` is the table the ingress offers, index-aligned with `active`.
 std::vector<std::vector<double>> deliver_second(
     const Topology& topo, const TunnelCatalog& catalog,
     const std::vector<ActiveDemand>& active,
-    const std::vector<LinkId>& failed, RescalePolicy rescale,
-    const BackupPlanner* planner, double* offered_out, double* delivered_out) {
+    std::span<const Allocation> enforced, const std::vector<LinkId>& failed,
+    RescalePolicy rescale, double* offered_out, double* delivered_out) {
   auto link_down = [&](LinkId e) {
     return std::binary_search(failed.begin(), failed.end(), e);
   };
@@ -35,29 +36,10 @@ std::vector<std::vector<double>> deliver_second(
     return true;
   };
 
-  // Map active demand -> backup-plan row when a plan applies this second.
-  const RecoveryResult* plan = nullptr;
-  std::map<DemandId, std::size_t> plan_index;
-  if (rescale == RescalePolicy::kBackup && planner != nullptr &&
-      !failed.empty()) {
-    plan = planner->plan_for(failed);
-    if (plan != nullptr) {
-      for (std::size_t i = 0; i < planner->demands().size(); ++i) {
-        plan_index[planner->demands()[i].id] = i;
-      }
-    }
-  }
-
   // Effective offered rate per (demand, pair, tunnel).
-  std::vector<Allocation> offered(active.size());
+  std::vector<Allocation> offered(enforced.begin(), enforced.end());
   for (std::size_t i = 0; i < active.size(); ++i) {
     const Demand& d = active[i].demand;
-    const Allocation* base = &active[i].alloc;
-    if (plan != nullptr) {
-      const auto it = plan_index.find(d.id);
-      if (it != plan_index.end()) base = &plan->alloc[it->second];
-    }
-    offered[i] = *base;
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
       double lost = 0.0;
@@ -169,6 +151,12 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
     for (const auto& a : active) ds.push_back(a.demand);
     return ds;
   };
+  auto active_allocations = [&]() {
+    std::vector<Allocation> allocs;
+    allocs.reserve(active.size());
+    for (const auto& a : active) allocs.push_back(a.alloc);
+    return allocs;
+  };
 
   auto reallocate = [&]() {
     const auto ds = active_demands();
@@ -176,12 +164,7 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
     for (std::size_t i = 0; i < active.size(); ++i) {
       active[i].alloc = allocs[i];
     }
-    if (policy.rescale == RescalePolicy::kBackup) {
-      std::vector<Allocation> current;
-      current.reserve(active.size());
-      for (const auto& a : active) current.push_back(a.alloc);
-      planner.precompute(ds, current);
-    }
+    if (policy.rescale == RescalePolicy::kBackup) planner.precompute(ds, allocs);
   };
 
   double next_schedule = 0.0;
@@ -207,10 +190,8 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
       if (policy.admission.has_value()) {
         // Residual capacity under current allocations.
         std::vector<Demand> ds = active_demands();
-        std::vector<Allocation> current;
-        current.reserve(active.size());
-        for (const auto& a : active) current.push_back(a.alloc);
-        const auto usage = link_usage(topo, catalog, ds, current);
+        const auto usage =
+            link_usage(topo, catalog, ds, active_allocations());
         std::vector<double> residual(usage.size());
         for (LinkId e = 0; e < topo.link_count(); ++e) {
           residual[static_cast<std::size_t>(e)] = std::max(
@@ -248,10 +229,8 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
       if (admit) {
         // First-time allocation: greedy from residual; the next scheduling
         // round optimizes it.
-        std::vector<Demand> ds = active_demands();
-        std::vector<Allocation> current;
-        for (const auto& a : active) current.push_back(a.alloc);
-        const auto usage = link_usage(topo, catalog, ds, current);
+        const auto usage = link_usage(topo, catalog, active_demands(),
+                                      active_allocations());
         std::vector<double> residual(usage.size());
         for (LinkId e = 0; e < topo.link_count(); ++e) {
           residual[static_cast<std::size_t>(e)] = std::max(
@@ -270,15 +249,23 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
       while (next_schedule <= minute) next_schedule += cfg.schedule_period_min;
     }
 
-    // Per-second data plane.
+    // Per-second data plane. Under the backup policy the ingress offers
+    // what the controller's brokers would enforce (BackupPlanner::enforce);
+    // otherwise it keeps the primaries.
+    const std::vector<Demand> ds = active_demands();
+    const std::vector<Allocation> primaries = active_allocations();
     for (int s = minute * 60; s < (minute + 1) * 60; ++s) {
       if (s >= timeline.seconds()) break;
       const auto failed = timeline.failed_at(s);
+      const std::span<const Allocation> enforced =
+          policy.rescale == RescalePolicy::kBackup
+              ? planner.enforce(ds, primaries, failed)
+              : std::span<const Allocation>(primaries);
       double offered = 0.0;
       double delivered_total = 0.0;
       const auto delivered =
-          deliver_second(topo, catalog, active, failed, policy.rescale,
-                         &planner, &offered, &delivered_total);
+          deliver_second(topo, catalog, active, enforced, failed,
+                         policy.rescale, &offered, &delivered_total);
       if (offered > 1e-9) {
         metrics.per_second_loss_ratio.push_back(
             std::max(0.0, 1.0 - delivered_total / offered));

@@ -14,6 +14,9 @@ namespace bate {
 
 namespace {
 
+/// Per-demand transition-log cap in the SLO ledger.
+constexpr std::size_t kSloMaxTransitions = 64;
+
 // Stats-backing counters increment unconditionally (the stats() accessor is
 // functional, not diagnostic); the net-layer instrumentation below them is
 // gated on obs::enabled(). Handles resolve once — registry lookups lock.
@@ -71,7 +74,7 @@ Controller::Controller(const Topology& topo, const TunnelCatalog& catalog,
       admission_(scheduler_, admission),
       planner_(topo, catalog),
       config_(config),
-      ledger_(obs::SloLedger::Config{config.slo_max_transitions, 1024}) {
+      ledger_(obs::SloLedger::Config{kSloMaxTransitions, 1024}) {
   if (config_.tenant_rate_per_sec > 0.0) {
     limiter_.emplace(config_.tenant_rate_per_sec, config_.tenant_burst);
   }
@@ -255,15 +258,6 @@ void Controller::flush_batch(Peer& peer, const FrameBatch& batch) {
   }
 }
 
-void Controller::run_scheduling_round() {
-  admission_.reschedule();
-  std::vector<Allocation> current = admission_.allocations();
-  // precompute() rebuilds the planner's plan table, so any previously
-  // activated backup plan pointer is stale from here on.
-  active_plan_ = nullptr;
-  planner_.precompute(admission_.admitted(), current);
-}
-
 void Controller::handle_message(Peer& peer, const Message& msg,
                                 const obs::SpanContext& trace) {
   if (const auto* hello = std::get_if<HelloMsg>(&msg)) {
@@ -273,7 +267,7 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     // broadcast (its Hello races with the first SubmitDemand on a different
     // connection). Hand the late joiner the current allocation snapshot so
     // its enforcer never starts from a stale void.
-    if (peer.role == "broker") send_allocation_snapshot(peer);
+    if (peer.role == "broker") publish(&peer);
     return;
   }
   if (const auto* submit = std::get_if<SubmitDemandMsg>(&msg)) {
@@ -285,35 +279,38 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     // the queued entry; without this the admission would land after the
     // withdraw and leak the demand.
     purge_queue_for_demand(withdraw->id);
-    const std::int64_t now = obs::now_us();
-    ledger_.withdraw(withdraw->id, now);
+    ledger_.withdraw(withdraw->id, obs::now_us());
+    const std::vector<Demand>& admitted = admission_.admitted();
+    const auto it = std::find_if(
+        admitted.begin(), admitted.end(),
+        [&](const Demand& d) { return d.id == withdraw->id; });
+    // An id that is not admitted leaves what brokers enforce unchanged.
+    if (it == admitted.end()) return;
     // Brokers keep enforcing a row until told to drop it, so the broadcast
     // carries an empty row per pair of the departed demand.
-    std::vector<Demand> removed;
-    for (const Demand& d : admission_.admitted()) {
-      if (d.id == withdraw->id) {
-        removed.push_back(d);
-        break;
-      }
-    }
+    const Demand removed = *it;
     admission_.remove(withdraw->id);
-    run_scheduling_round();
-    broadcast_allocations(false, nullptr, removed);
-    refresh_slo(obs::now_us());
+    admission_.reschedule();
+    planner_.precompute(admission_.admitted(), admission_.allocations());
+    publish(nullptr, 0, {&removed, 1});
     return;
   }
   if (const auto* status = std::get_if<LinkStatusMsg>(&msg)) {
-    if (!status->up) {
+    // A peer's link id indexes per-link tables downstream.
+    if (status->link < 0 ||
+        status->link >= scheduler_.topology().link_count()) {
+      if (obs::enabled()) ControllerMetrics::get().decode_errors.inc();
+      BATE_LOG_EVERY_N(kWarn, "controller", 1024)
+          << "link report for unknown link " << status->link;
+      return;
+    }
+    if (status->up) {
+      down_links_.erase(status->link);
+    } else {
       ControllerMetrics::get().failures.inc();
       down_links_.insert(status->link);
-      active_plan_ = planner_.plan(status->link);
-      broadcast_allocations(true, active_plan_);
-    } else {
-      down_links_.erase(status->link);
-      active_plan_ = nullptr;
-      broadcast_allocations(false, nullptr);
     }
-    refresh_slo(obs::now_us());
+    publish();
     return;
   }
   if (const auto* req = std::get_if<StatsRequestMsg>(&msg)) {
@@ -466,29 +463,21 @@ void Controller::drain_admission_queue() {
     rescheduled = true;
   }
   if (config_.precompute_backup) {
-    active_plan_ = nullptr;  // precompute invalidates plan pointers
     planner_.precompute(admission_.admitted(), admission_.allocations());
   }
-  if (rescheduled) {
-    // A reschedule may have moved anyone's rates: full broadcast of the
-    // primary allocations — any activated backup plan is superseded.
-    active_plan_ = nullptr;
-    broadcast_allocations(false, nullptr);
-  } else {
-    // Greedy admissions appended to the tail without touching existing
-    // allocations: delta-broadcast just the new rows.
-    broadcast_new_allocations(result.first_new_index);
-  }
-  refresh_slo(obs::now_us());
+  // A reschedule may have moved anyone's rates; greedy admissions appended
+  // to the tail without touching existing allocations.
+  publish(nullptr, rescheduled ? 0 : result.first_new_index);
 }
 
-int Controller::send_allocations_to(Peer& peer, bool backup,
+int Controller::send_allocations_to(Peer& peer,
                                     std::span<const Demand> demands,
                                     std::span<const Allocation> allocs,
                                     const FrameContext& trace,
                                     std::span<const Demand> removed) {
   BATE_DCHECK_MSG(demands.size() == allocs.size(),
                   "controller: demand/allocation desync");
+  const bool backup = !down_links_.empty();
   int sent = 0;
   FrameBatch batch;
   for (std::size_t i = 0; i < demands.size(); ++i) {
@@ -516,77 +505,52 @@ int Controller::send_allocations_to(Peer& peer, bool backup,
   return sent;
 }
 
-void Controller::broadcast_new_allocations(std::size_t first_new) {
-  const auto& demands = admission_.admitted();
-  const auto& allocs = admission_.allocations();
-  if (first_new >= demands.size()) return;
-  obs::Span span("controller.broadcast");
-  const obs::SpanContext sc = span.context();
-  const FrameContext trace{sc.trace_id, sc.span_id};
-  const std::int64_t t0 = obs::now_us();
-  const std::span<const Demand> tail(demands.data() + first_new,
-                                     demands.size() - first_new);
-  const std::span<const Allocation> tail_allocs(allocs.data() + first_new,
-                                                allocs.size() - first_new);
-  int sent = 0;
-  for (auto& [fd, peer] : peers_) {
-    if (peer.role != "broker") continue;
-    sent += send_allocations_to(peer, false, tail, tail_allocs, trace);
-  }
+void Controller::publish(Peer* to, std::size_t first,
+                         std::span<const Demand> removed) {
+  const std::vector<LinkId> down(down_links_.begin(), down_links_.end());
+  const std::span<const Demand> demands(admission_.admitted());
+  const std::span<const Allocation> table =
+      planner_.enforce(demands, admission_.allocations(), down);
   auto& m = ControllerMetrics::get();
-  m.updates.inc(sent);
-  if (obs::enabled() && sent > 0) m.fanout_us.record(obs::now_us() - t0);
-}
-
-void Controller::send_allocation_snapshot(Peer& peer) {
-  const int sent = send_allocations_to(peer, false, admission_.admitted(),
-                                       admission_.allocations());
-  ControllerMetrics::get().updates.inc(sent);
-}
-
-void Controller::broadcast_allocations(bool backup,
-                                       const RecoveryResult* plan,
-                                       std::span<const Demand> removed) {
-  obs::Span span("controller.broadcast");
-  const obs::SpanContext sc = span.context();
-  const FrameContext trace{sc.trace_id, sc.span_id};
-  const std::int64_t t0 = obs::now_us();
-  const auto& demands =
-      (backup && plan != nullptr) ? planner_.demands() : admission_.admitted();
-  const auto& allocs = (backup && plan != nullptr)
-                           ? plan->alloc
-                           : admission_.allocations();
-  int sent = 0;
-  for (auto& [fd, peer] : peers_) {
-    if (peer.role != "broker") continue;
-    sent += send_allocations_to(peer, backup, demands, allocs, trace, removed);
+  if (to != nullptr) {
+    m.updates.inc(send_allocations_to(*to, demands, table));
+  } else {
+    if (!down.empty()) first = 0;
+    obs::Span span("controller.broadcast");
+    const obs::SpanContext sc = span.context();
+    const FrameContext trace{sc.trace_id, sc.span_id};
+    const std::int64_t t0 = obs::now_us();
+    int sent = 0;
+    for (auto& [fd, peer] : peers_) {
+      if (peer.role != "broker") continue;
+      sent += send_allocations_to(peer, demands.subspan(first),
+                                  table.subspan(first), trace, removed);
+    }
+    m.updates.inc(sent);
+    if (obs::enabled() && sent > 0) m.fanout_us.record(obs::now_us() - t0);
   }
-  auto& m = ControllerMetrics::get();
-  m.updates.inc(sent);
-  if (obs::enabled() && sent > 0) m.fanout_us.record(obs::now_us() - t0);
+  refresh_slo(table, obs::now_us());
 }
 
-void Controller::refresh_slo(std::int64_t now_us) {
-  // Delivered rate per (demand, pair): the live allocation table (primary,
-  // or the activated backup plan) minus every tunnel crossing a down link.
-  // This is the controller-side replay of the simulator's deliver_second
-  // satisfied rule, through the shared obs::interval_satisfied floor.
-  const bool backup = active_plan_ != nullptr;
-  const auto& demands = backup ? planner_.demands() : admission_.admitted();
-  const auto& allocs = backup ? active_plan_->alloc : admission_.allocations();
+void Controller::refresh_slo(std::span<const Allocation> table,
+                             std::int64_t now_us) {
+  // Delivered rate per (demand, pair): the enforced table minus every
+  // tunnel crossing a down link. This is the controller-side replay of the
+  // simulator's deliver_second satisfied rule, through the shared
+  // obs::interval_satisfied floor.
+  const std::vector<Demand>& demands = admission_.admitted();
   const TunnelCatalog& catalog = scheduler_.catalog();
-  const std::size_t n = std::min(demands.size(), allocs.size());
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
     bool ok = true;
     for (std::size_t p = 0; p < d.pairs.size() && ok; ++p) {
       if (d.pairs[p].mbps <= 0.0) continue;
-      if (p >= allocs[i].size()) {
+      if (p >= table[i].size()) {
         ok = false;
         break;
       }
       const std::vector<Tunnel>& tunnels = catalog.tunnels(d.pairs[p].pair);
-      const std::vector<double>& rates = allocs[i][p];
+      const std::vector<double>& rates = table[i][p];
       double delivered = 0.0;
       for (std::size_t t = 0; t < rates.size(); ++t) {
         if (!down_links_.empty() && t < tunnels.size()) {

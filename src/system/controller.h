@@ -4,9 +4,11 @@
 //
 // The controller runs its epoll loop on a dedicated thread. Users connect,
 // submit demands and receive admission replies; brokers connect, introduce
-// themselves with Hello{role="broker"} and then receive allocation updates
-// (normal after every scheduling round, backup when a broker reports a link
-// down).
+// themselves with Hello{role="broker"} and then receive allocation updates.
+// Every event (link down or up, admission batch, withdraw, broker Hello)
+// ends in one publish step: brokers get what BackupPlanner::enforce picks
+// for the admitted set, its primary allocations and every link currently
+// reported down, flagged backup while any link is down.
 //
 // Admission pipeline (DESIGN.md Sec 10): SubmitDemand frames are enqueued
 // (bounded, per-tenant token buckets at ingress, overflow shed with
@@ -90,8 +92,6 @@ struct ControllerConfig {
   /// availability ledger itself is always on — it is the product's answer
   /// to "did we keep the beta_d promise", not a diagnostic.
   int slo_sample_period_ms = 1000;
-  /// Per-demand transition-log cap in the SLO ledger.
-  std::size_t slo_max_transitions = 64;
 };
 
 class Controller {
@@ -160,30 +160,31 @@ class Controller {
   /// Flushes an accumulated frame batch to `peer` with one write.
   void flush_batch(Peer& peer, const FrameBatch& batch);
   /// Sends one AllocationUpdate per (demand, pair) to `peer` as a single
-  /// batched write, stamping `trace` onto every frame, followed by one
-  /// empty (row-removing) update per pair of each `removed` demand; returns
-  /// the number of updates. Loop thread only.
-  int send_allocations_to(Peer& peer, bool backup,
-                          std::span<const Demand> demands,
+  /// batched write, stamping `trace` onto every frame and flagging backup
+  /// while any link is down, followed by one empty (row-removing) update per
+  /// pair of each `removed` demand; returns the number of updates. Loop
+  /// thread only.
+  int send_allocations_to(Peer& peer, std::span<const Demand> demands,
                           std::span<const Allocation> allocs,
                           const FrameContext& trace = {},
                           std::span<const Demand> removed = {});
-  /// Current (non-backup) allocations to a newly introduced broker.
-  void send_allocation_snapshot(Peer& peer);
-  /// Full broadcast of the primary allocations, or of `plan` when `backup`;
-  /// `removed` demands ride along as row removals.
-  void broadcast_allocations(bool backup, const RecoveryResult* plan,
-                             std::span<const Demand> removed = {});
-  /// Delta broadcast: only admitted()[first_new..] rows, after a batch that
-  /// appended greedy admissions without rescheduling anyone else.
-  void broadcast_new_allocations(std::size_t first_new);
-  void run_scheduling_round();
+  /// The step every event ends with: sends the table BackupPlanner::enforce
+  /// picks for the admitted set, its primaries and down_links_, then feeds
+  /// the same table to refresh_slo. `to` set: that broker alone gets every
+  /// row (a Hello snapshot). Otherwise every broker gets admitted()[first..]
+  /// under one controller.broadcast span, plus row removals for `removed`.
+  /// `first` > 0 is the delta after greedy admissions that moved nobody
+  /// else; it holds only while no link is down, since a backup plan may
+  /// move any row.
+  void publish(Peer* to = nullptr, std::size_t first = 0,
+               std::span<const Demand> removed = {});
 
-  /// Re-derives every admitted demand's satisfied bit from the active
-  /// allocation table and the current down-link set, and feeds the SLO
-  /// ledger (degrade/recover transitions on change only). Called after
-  /// admissions, link events and withdrawals.
-  void refresh_slo(std::int64_t now_us);
+  /// Re-derives every admitted demand's satisfied bit from `table` (what
+  /// brokers enforce, index-aligned with admitted()) and the current
+  /// down-link set, and feeds the SLO ledger (degrade/recover transitions on
+  /// change only). Its own surviving-tunnel test measures what is delivered
+  /// rather than trusting the rule that picked the table.
+  void refresh_slo(std::span<const Allocation> table, std::int64_t now_us);
   /// Samples the registry into the time-series store once per
   /// slo_sample_period_ms (tick handler).
   void sample_slo_series(std::int64_t now_us);
@@ -212,9 +213,6 @@ class Controller {
   obs::TimeSeriesStore series_;
   /// Links currently reported down by brokers (loop thread only).
   std::set<LinkId> down_links_;
-  /// Backup plan currently broadcast, or nullptr when primary allocations
-  /// are live. Invalidated (cleared) by every planner_.precompute().
-  const RecoveryResult* active_plan_ = nullptr;
   std::int64_t next_sample_us_ = 0;
 
   std::thread thread_;

@@ -17,6 +17,8 @@ using DemandId = int;
 struct RefundTier {
   double below;     // availability threshold, e.g. 0.999
   double fraction;  // refunded fraction of the charge, e.g. 0.10
+
+  friend bool operator==(const RefundTier&, const RefundTier&) = default;
 };
 
 /// One component of the demand vector b_d: `mbps` on pair `pair`
@@ -24,6 +26,8 @@ struct RefundTier {
 struct PairDemand {
   int pair = -1;
   double mbps = 0.0;
+
+  friend bool operator==(const PairDemand&, const PairDemand&) = default;
 };
 
 struct Demand {
@@ -66,6 +70,8 @@ struct Demand {
   double admission_weight() const {
     return total_mbps() * availability_target;
   }
+
+  friend bool operator==(const Demand&, const Demand&) = default;
 };
 
 /// Per-demand, per-tunnel bandwidth allocation f^t_d. Indexed as

@@ -1,11 +1,12 @@
 // Tests for failure recovery (Sec 3.4, Appendix D): the Fig 4 backup
 // example, optimal MILP vs greedy (2-approximation property, exact on
 // knapsack-like single-bottleneck instances), and the backup planner with
-// its concurrent-pair extension (fn. 6).
+// the rule that picks what brokers enforce for any down set (fn. 6).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "core/pricing.h"
@@ -200,43 +201,125 @@ TEST(BackupPlanner, PrecomputesPlansForLoadedLinks) {
   }
 }
 
-// BackupPlanner(concurrent_pairs) plans the riskiest loaded link pairs on
-// top of the single links; plan_for takes an exact pair match where one was
-// planned and falls back to the single-link plan of the most failure-prone
-// member otherwise.
-TEST(BackupPlannerExtension, ConcurrentPairPlansAreUsed) {
-  const Topology topo = testbed6();
-  const auto catalog = TunnelCatalog::build_all_pairs(topo, 4);
-  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
-  std::vector<Demand> demands(2);
-  demands[0].id = 1;
-  demands[0].pairs = {{catalog.pair_index({0, 2}), 400.0}};
-  demands[0].availability_target = 0.99;
-  demands[0].charge = 400.0;
-  demands[1].id = 2;
-  demands[1].pairs = {{catalog.pair_index({0, 4}), 500.0}};
-  demands[1].availability_target = 0.95;
-  demands[1].charge = 500.0;
-  const auto r = scheduler.schedule(demands);
-  ASSERT_TRUE(r.feasible);
-
-  BackupPlanner single(topo, catalog, 0);
-  BackupPlanner pairs(topo, catalog, 8);
-  single.precompute(demands, r.alloc);
-  pairs.precompute(demands, r.alloc);
-  EXPECT_GT(pairs.plan_count(), single.plan_count());
-
-  // plan_for: exact pair match where planned, single-link fallback else.
+// BackupPlanner::enforce over two scheduled demands on testbed6, with the
+// plans precomputed for exactly that demand set.
+struct EnforceRule : ::testing::Test {
+  Topology topo = testbed6();
+  TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  TrafficScheduler scheduler{topo, catalog, SchedulerConfig{}};
+  BackupPlanner planner{topo, catalog};
+  std::vector<Demand> demands;
+  std::vector<Allocation> primaries;
   std::vector<LinkId> loaded;
-  const auto usage = link_usage(topo, catalog, demands, r.alloc);
-  for (LinkId e = 0; e < topo.link_count(); ++e) {
-    if (usage[static_cast<std::size_t>(e)] > 1e-9) loaded.push_back(e);
+  std::vector<LinkId> unloaded;
+
+  void SetUp() override {
+    demands = {make_demand(1, catalog.pair_index({0, 2}), 400.0, 400.0, 0.1),
+               make_demand(2, catalog.pair_index({0, 4}), 500.0, 500.0, 0.1)};
+    demands[1].availability_target = 0.95;
+    const auto r = scheduler.schedule(demands);
+    ASSERT_TRUE(r.feasible);
+    primaries = r.alloc;
+    planner.precompute(demands, primaries);
+    const auto usage = link_usage(topo, catalog, demands, primaries);
+    for (LinkId e = 0; e < topo.link_count(); ++e) {
+      (usage[static_cast<std::size_t>(e)] > 1e-9 ? loaded : unloaded)
+          .push_back(e);
+    }
+    ASSERT_GE(loaded.size(), 2u);
+    ASSERT_FALSE(unloaded.empty());
   }
-  ASSERT_GE(loaded.size(), 2u);
-  const LinkId two[] = {loaded[0], loaded[1]};
-  EXPECT_NE(pairs.plan_for(two), nullptr);
-  EXPECT_NE(single.plan_for(two), nullptr);  // falls back to single plan
-  EXPECT_EQ(single.plan_for({}), nullptr);
+
+  /// Positive rates `table` puts on tunnels crossing a link in `down`.
+  int rates_across(std::span<const Allocation> table,
+                   std::span<const Demand> ds,
+                   std::span<const LinkId> down) const {
+    int n = 0;
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+      for (std::size_t p = 0; p < ds[i].pairs.size(); ++p) {
+        const auto& tunnels = catalog.tunnels(ds[i].pairs[p].pair);
+        for (std::size_t t = 0; t < tunnels.size(); ++t) {
+          const bool crosses = std::any_of(
+              down.begin(), down.end(),
+              [&](LinkId e) { return tunnels[t].uses(e); });
+          if (crosses && table[i][p][t] > 1e-9) ++n;
+        }
+      }
+    }
+    return n;
+  }
+};
+
+TEST_F(EnforceRule, NothingDownEnforcesThePrimaries) {
+  const auto table = planner.enforce(demands, primaries, {});
+  EXPECT_EQ(table.data(), primaries.data());
+  EXPECT_EQ(table.size(), primaries.size());
+}
+
+TEST_F(EnforceRule, OnlyUnloadedLinksDownEnforceThePrimaries) {
+  for (const LinkId e : unloaded) {
+    const LinkId one[] = {e};
+    EXPECT_EQ(planner.enforce(demands, primaries, one).data(),
+              primaries.data())
+        << "link " << e;
+  }
+  EXPECT_EQ(planner.enforce(demands, primaries, unloaded).data(),
+            primaries.data());
+}
+
+TEST_F(EnforceRule, OneLoadedLinkIsItsPrecomputedPlan) {
+  for (const LinkId e : loaded) {
+    const RecoveryResult* plan = planner.plan(e);
+    ASSERT_NE(plan, nullptr) << "link " << e;
+    const LinkId one[] = {e};
+    const auto table = planner.enforce(demands, primaries, one);
+    // The plan's own storage: bit-identical by construction.
+    EXPECT_EQ(table.data(), plan->alloc.data()) << "link " << e;
+    EXPECT_EQ(table.size(), plan->alloc.size());
+  }
+}
+
+TEST_F(EnforceRule, TwoLoadedLinksRunAlgorithm2OverExactlyThePair) {
+  for (std::size_t a = 0; a < loaded.size(); ++a) {
+    for (std::size_t b = a + 1; b < loaded.size(); ++b) {
+      const LinkId two[] = {loaded[a], loaded[b]};
+      const auto table = planner.enforce(demands, primaries, two);
+      const RecoveryResult expected =
+          recover_greedy(topo, catalog, demands, two);
+      EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
+                expected.alloc)
+          << "links " << two[0] << ", " << two[1];
+      EXPECT_EQ(rates_across(table, demands, two), 0)
+          << "links " << two[0] << ", " << two[1];
+    }
+  }
+}
+
+TEST_F(EnforceRule, DemandSetPrecomputeNeverSawIsPlannedOnTheSpot) {
+  std::vector<Demand> grown = demands;
+  grown.push_back(make_demand(3, catalog.pair_index({1, 3}), 300.0, 300.0,
+                              0.1));
+  const auto r = scheduler.schedule(grown);
+  ASSERT_TRUE(r.feasible);
+  const auto usage = link_usage(topo, catalog, grown, r.alloc);
+  int checked = 0;
+  for (const LinkId e : loaded) {
+    if (usage[static_cast<std::size_t>(e)] <= 1e-9) continue;
+    ++checked;
+    const LinkId one[] = {e};
+    const auto table = planner.enforce(grown, r.alloc, one);
+    EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
+              recover_greedy(topo, catalog, grown, one).alloc)
+        << "link " << e;
+    EXPECT_EQ(rates_across(table, grown, one), 0) << "link " << e;
+  }
+  EXPECT_GT(checked, 0);
+  // A planner that never precomputed plans on the spot too.
+  BackupPlanner fresh(topo, catalog);
+  const LinkId one[] = {loaded.front()};
+  const auto table = fresh.enforce(demands, primaries, one);
+  EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
+            recover_greedy(topo, catalog, demands, one).alloc);
 }
 
 }  // namespace

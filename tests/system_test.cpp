@@ -4,11 +4,13 @@
 // activation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -215,6 +217,27 @@ TEST_F(SystemFixture, WithdrawFreesCapacity) {
   b1.stop();
 }
 
+TEST_F(SystemFixture, WithdrawOfUnknownIdSendsNothing) {
+  Broker broker(0, controller->port());
+  broker.start();
+  UserClient user(controller->port());
+  ASSERT_TRUE(user.submit(make_demand(1, 0, 100.0, 0.9)));
+  user.stats();  // ordered after the submit's broadcast on this connection
+  ASSERT_TRUE(wait_for([&] {
+    return broker.updates_received() ==
+           controller->stats().allocation_updates_sent;
+  }));
+  const int sent = controller->stats().allocation_updates_sent;
+  ASSERT_GT(sent, 0);
+
+  // Neither admitted nor queued: no scheduling round, no broadcast.
+  user.withdraw(999);
+  user.stats();
+  EXPECT_EQ(controller->stats().allocation_updates_sent, sent);
+  EXPECT_GT(broker.enforced_total(1, 0), 0.0);
+  broker.stop();
+}
+
 TEST_F(SystemFixture, LinkFailureActivatesBackup) {
   Broker broker(0, controller->port());
   broker.start();
@@ -321,6 +344,21 @@ TEST_F(SystemFixture, SurvivesMalformedPeers) {
   // Regular service continues.
   UserClient user(controller->port());
   EXPECT_TRUE(user.submit(make_demand(1, 0, 100.0, 0.95)));
+}
+
+TEST_F(SystemFixture, DropsLinkReportsOutsideTheTopology) {
+  // A peer's link id indexes the controller's per-link tables.
+  Broker broker(0, controller->port());
+  broker.start();
+  broker.report_link(-1, false);
+  broker.report_link(topo.link_count(), false);
+  UserClient user(controller->port());
+  EXPECT_TRUE(user.submit(make_demand(1, 0, 100.0, 0.95)));
+  EXPECT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_total(1, 0) > 0.0; }));
+  EXPECT_FALSE(broker.backup_active());
+  EXPECT_EQ(controller->stats().link_failures_handled, 0);
+  broker.stop();
 }
 
 TEST_F(SystemFixture, PipelinedSubmitManyIndexesVerdicts) {
@@ -502,6 +540,171 @@ TEST_F(SystemFixture, MultipleBrokersReceiveUpdates) {
   b1.stop();
   b2.stop();
 }
+
+// Brokers must never enforce a positive rate on a tunnel that crosses a link
+// currently reported down, however failures overlap and whatever else
+// happens meanwhile. The probe: six 150 Mbps, beta 0.99 demands on
+// testbed6, two brokers, broker 0 reporting the links.
+class SystemFailureProbe : public ::testing::Test {
+ protected:
+  Topology topo = testbed6();
+  TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
+  std::unique_ptr<Controller> controller;
+  std::vector<std::unique_ptr<Broker>> brokers;
+  std::unique_ptr<UserClient> user;
+  std::vector<Demand> live;
+  std::set<LinkId> down;
+  /// Every event that left a rate across a down link, with its count.
+  std::string violations;
+
+  void start(bool reschedule_after_batch) {
+    ControllerConfig cfg;
+    cfg.reschedule_after_batch = reschedule_after_batch;
+    controller = std::make_unique<Controller>(
+        topo, catalog, SchedulerConfig{}, AdmissionStrategy::kBate, cfg);
+    controller->start();
+    add_broker(0);
+    add_broker(3);
+    user = std::make_unique<UserClient>(controller->port());
+    for (int i = 0; i < 6; ++i) admit(make_demand(i + 1, i, 150.0, 0.99));
+  }
+  void TearDown() override {
+    for (auto& b : brokers) b->stop();
+    if (controller) controller->stop();
+  }
+
+  void add_broker(int dc) {
+    brokers.push_back(std::make_unique<Broker>(dc, controller->port()));
+    brokers.back()->start();
+  }
+  void admit(const Demand& d) {
+    ASSERT_TRUE(user->submit(d));
+    live.push_back(d);
+    settle();
+  }
+  void withdraw(DemandId id) {
+    user->withdraw(id);
+    std::erase_if(live, [&](const Demand& d) { return d.id == id; });
+    settle();
+  }
+  /// Broker 0 reports `link`; both brokers get one row per live pair.
+  void report(LinkId link, bool up) {
+    std::vector<int> base;
+    for (const auto& b : brokers) base.push_back(b->updates_received());
+    brokers[0]->report_link(link, up);
+    for (std::size_t i = 0; i < brokers.size(); ++i) {
+      const Broker& b = *brokers[i];
+      ASSERT_TRUE(wait_for_broker(b, [&] {
+        return b.updates_received() >=
+               base[i] + static_cast<int>(live.size());
+      }));
+    }
+    if (up) {
+      down.erase(link);
+    } else {
+      down.insert(link);
+    }
+    settle();
+  }
+  /// Returns once the controller handled everything the user sent and
+  /// every broker applied every update the controller sent.
+  void settle() {
+    user->stats();
+    ASSERT_TRUE(wait_for([&] {
+      int received = 0;
+      for (const auto& b : brokers) received += b->updates_received();
+      return received == controller->stats().allocation_updates_sent;
+    }));
+  }
+
+  /// Links any live demand's enforced rates cross at broker 0.
+  std::vector<LinkId> loaded_links() const {
+    std::set<LinkId> links;
+    for (const Demand& d : live) {
+      const auto rates = brokers[0]->enforced_rates(d.id, d.pairs[0].pair);
+      const auto& tunnels = catalog.tunnels(d.pairs[0].pair);
+      for (std::size_t t = 0; t < rates.size() && t < tunnels.size(); ++t) {
+        if (rates[t] > 1e-9) {
+          links.insert(tunnels[t].links.begin(), tunnels[t].links.end());
+        }
+      }
+    }
+    return {links.begin(), links.end()};
+  }
+  /// Records positive rates any broker enforces across a down link.
+  void check(const std::string& event) {
+    int n = 0;
+    for (const auto& b : brokers) {
+      for (const Demand& d : live) {
+        const auto rates = b->enforced_rates(d.id, d.pairs[0].pair);
+        const auto& tunnels = catalog.tunnels(d.pairs[0].pair);
+        for (std::size_t t = 0; t < rates.size() && t < tunnels.size(); ++t) {
+          const bool crosses = std::any_of(
+              down.begin(), down.end(),
+              [&](LinkId e) { return tunnels[t].uses(e); });
+          if (crosses && rates[t] > 1e-9) ++n;
+        }
+      }
+    }
+    if (n > 0) violations += event + ": " + std::to_string(n) + "\n";
+  }
+};
+
+TEST_F(SystemFailureProbe, OverlappingFailuresEnforceNothingAcrossDownLinks) {
+  start(/*reschedule_after_batch=*/true);
+  const std::vector<LinkId> loaded = loaded_links();
+  ASSERT_GE(loaded.size(), 2u);
+  for (const LinkId a : loaded) {
+    for (const LinkId b : loaded) {
+      if (a == b) continue;
+      const std::string pair =
+          std::to_string(a) + "," + std::to_string(b) + ": ";
+      report(a, false);
+      check(pair + "A down");
+      report(b, false);
+      check(pair + "B down");
+      report(b, true);
+      check(pair + "B up");
+      report(a, true);
+      check(pair + "A up");
+    }
+  }
+  EXPECT_TRUE(violations.empty()) << violations;
+}
+
+// Admission (with and without a reschedule after the batch), withdraw and a
+// broker joining, each during a single-link failure.
+class SystemFailureChurn : public SystemFailureProbe,
+                           public ::testing::WithParamInterface<bool> {};
+
+TEST_P(SystemFailureChurn, EnforcesNothingAcrossTheDownLink) {
+  start(/*reschedule_after_batch=*/GetParam());
+  for (const LinkId a : loaded_links()) {
+    const std::string link = std::to_string(a) + ": ";
+    report(a, false);
+    check(link + "down");
+    admit(make_demand(100 + a, 6, 10.0, 0.99));
+    check(link + "admit");
+    withdraw(100 + a);
+    check(link + "withdraw");
+    add_broker(5);
+    ASSERT_TRUE(wait_for_broker(*brokers.back(), [&] {
+      return brokers.back()->updates_received() ==
+             static_cast<int>(live.size());
+    }));
+    settle();
+    check(link + "broker join");
+    report(a, true);
+  }
+  EXPECT_TRUE(violations.empty()) << violations;
+}
+
+std::string churn_config(const ::testing::TestParamInfo<bool>& param) {
+  return param.param ? "RescheduleAfterBatch" : "DeltaBroadcast";
+}
+
+INSTANTIATE_TEST_SUITE_P(Config, SystemFailureChurn, ::testing::Bool(),
+                         churn_config);
 
 /// Minimal view of one exported trace event, scraped out of the Chrome
 /// trace JSON (the only cross-ring export the Tracer offers).

@@ -63,10 +63,10 @@ int plan(const Topology& topo, const std::vector<Demand>& demands,
   }
   std::printf("\n%s", table.to_string("BATE plan").c_str());
 
-  BackupPlanner planner(topo, catalog, /*concurrent_pairs=*/4);
+  BackupPlanner planner(topo, catalog);
   planner.precompute(admitted, allocs);
-  std::printf("\n%zu backup plans pre-computed (single links + riskiest "
-              "pairs)\n",
+  std::printf("\n%zu backup plans pre-computed (one per loaded link; "
+              "concurrent failures are planned when they occur)\n",
               planner.plan_count());
   std::printf("%d/%zu demands admitted\n",
               static_cast<int>(demands.size()) - rejected, demands.size());

@@ -21,7 +21,8 @@
 #                  admissions/sec and a ceiling on p99 reply latency; the
 #                  SLO-ledger crosscheck gate (measured availability must
 #                  match the shared simulator arithmetic within 1e-9 across
-#                  a link-flap chaos run); bate_top --once --json --check
+#                  a link-flap chaos run that degrades at least one
+#                  demand); bate_top --once --json --check
 #                  against a live --serve stack; then runs the obs-overhead
 #                  gate (bench_solver --obs-overhead: with metrics, the SLO
 #                  ledger and the time-series store enabled, the median
@@ -132,7 +133,7 @@ for w in json.load(open(sys.argv[1]))["workloads"]:
       smoke_json=$(mktemp /tmp/BENCH_system_smoke.XXXXXX.json)
       "build/dev/bench/bench_system" --arrivals 20000 --out "$smoke_json"
       "build/dev/bench/bench_system" --validate "$smoke_json"
-      # Absolute gates: the committed BENCH_system.json runs 53k
+      # Absolute gates: the committed BENCH_system.json runs 57k
       # admissions/sec at 100k arrivals with a p99 of a few ms; the smoke
       # floor/ceiling leave a wide margin for a loaded CI box while still
       # failing if the pipeline degenerates to per-request behaviour (the
@@ -147,9 +148,11 @@ for w in json.load(open(sys.argv[1]))["workloads"]:
       # arithmetic; the reported availability must match to 1e-9 (it is
       # exactly 0 in practice — same integers, same division), and the case
       # must actually exercise demands, not vacuously pass on an empty
-      # ledger.
+      # ledger, and must replay at least one degraded window.
       "build/dev/tools/bench_report" --min "$smoke_json" \
         --metric slo_demands --floor 100
+      "build/dev/tools/bench_report" --min "$smoke_json" \
+        --metric slo_degraded_demands --floor 1
       "build/dev/tools/bench_report" --max "$smoke_json" \
         --metric slo_crosscheck_max_abs_err --ceiling 0.000000001
       rm -f "$smoke_json"
