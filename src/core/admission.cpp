@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -653,6 +654,13 @@ void AdmissionController::remove(DemandId id) {
       return;
     }
   }
+}
+
+void AdmissionController::set_allocations(
+    std::vector<Allocation> allocations) {
+  BATE_ASSERT_MSG(allocations.size() == admitted_.size(),
+                  "admission: allocation set does not match admitted set");
+  allocations_ = std::move(allocations);
 }
 
 bool AdmissionController::reschedule() {

@@ -118,6 +118,9 @@ class AdmissionController {
   /// Periodic traffic scheduling over the admitted set (Sec 3.3). Returns
   /// false when the LP was infeasible (previous allocations are kept).
   bool reschedule();
+  /// Replaces the allocations, index-aligned with admitted(): another TE
+  /// scheme's allocation of the admitted set.
+  void set_allocations(std::vector<Allocation> allocations);
 
   /// Branch-and-bound budget for the kOptimal strategy.
   void set_optimal_options(const BranchBoundOptions& options) {

@@ -1,31 +1,22 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
+#include <optional>
 #include <span>
+#include <unordered_map>
 
-#include "core/pricing.h"
+#include "core/bate_scheme.h"
+#include "core/control_plane.h"
 #include "obs/availability.h"
+#include "util/check.h"
 
 namespace bate {
 
-namespace {
-
-struct ActiveDemand {
-  Demand demand;
-  Allocation alloc;
-  std::size_t outcome_index;
-};
-
-/// Delivered bandwidth per (active demand, pair) for one second, given the
-/// failed link set, after the rescale policy and congestion scaling.
-/// `enforced` is the table the ingress offers, index-aligned with `active`.
 std::vector<std::vector<double>> deliver_second(
     const Topology& topo, const TunnelCatalog& catalog,
-    const std::vector<ActiveDemand>& active,
-    std::span<const Allocation> enforced, const std::vector<LinkId>& failed,
-    RescalePolicy rescale, double* offered_out, double* delivered_out) {
+    std::span<const Demand> demands, std::span<const Allocation> enforced,
+    std::span<const LinkId> failed, RescalePolicy rescale,
+    double* offered_out, double* delivered_out) {
   auto link_down = [&](LinkId e) {
     return std::binary_search(failed.begin(), failed.end(), e);
   };
@@ -38,8 +29,8 @@ std::vector<std::vector<double>> deliver_second(
 
   // Effective offered rate per (demand, pair, tunnel).
   std::vector<Allocation> offered(enforced.begin(), enforced.end());
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const Demand& d = active[i].demand;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const Demand& d = demands[i];
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
       double lost = 0.0;
@@ -73,8 +64,8 @@ std::vector<std::vector<double>> deliver_second(
 
   // Link loads and congestion scale factors.
   std::vector<double> load(static_cast<std::size_t>(topo.link_count()), 0.0);
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const Demand& d = active[i].demand;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const Demand& d = demands[i];
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
       for (std::size_t t = 0; t < tunnels.size(); ++t) {
@@ -95,9 +86,9 @@ std::vector<std::vector<double>> deliver_second(
 
   double offered_total = 0.0;
   double delivered_total = 0.0;
-  std::vector<std::vector<double>> delivered(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const Demand& d = active[i].demand;
+  std::vector<std::vector<double>> delivered(demands.size());
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    const Demand& d = demands[i];
     delivered[i].assign(d.pairs.size(), 0.0);
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
@@ -119,8 +110,6 @@ std::vector<std::vector<double>> deliver_second(
   return delivered;
 }
 
-}  // namespace
-
 SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
                            const SimPolicy& policy,
                            std::span<const Demand> demands,
@@ -131,6 +120,7 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
 
   SimMetrics metrics;
   metrics.outcomes.resize(demands.size());
+  std::unordered_map<DemandId, std::size_t> outcome_of;
   for (std::size_t i = 0; i < demands.size(); ++i) {
     auto& o = metrics.outcomes[i];
     o.id = demands[i].id;
@@ -138,141 +128,95 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
     o.charge = demands[i].charge;
     o.refund_fraction = demands[i].refund_fraction;
     o.refund_tiers = demands[i].refund_tiers;
+    outcome_of[demands[i].id] = i;
   }
 
-  std::vector<ActiveDemand> active;
+  // A policy with an admission strategy runs the controller's event
+  // sequence; an admit-all one keeps its own active set and allocations.
+  std::optional<ControlPlane> cp;
+  if (policy.admission.has_value()) {
+    BATE_ASSERT_MSG(&catalog == &scheduler.catalog(),
+                    "sim: admission runs on a different tunnel catalog");
+    cp.emplace(scheduler, *policy.admission, true, true,
+               policy.optimal_options);
+  }
+  const bool bate_allocates =
+      dynamic_cast<const BateScheme*>(policy.te) != nullptr;
+  std::vector<Demand> active;
+  std::vector<Allocation> allocs;
   BackupPlanner planner(topo, catalog);
+
   const int total_minutes = static_cast<int>(cfg.horizon_min);
   std::size_t next_arrival = 0;
-
-  auto active_demands = [&]() {
-    std::vector<Demand> ds;
-    ds.reserve(active.size());
-    for (const auto& a : active) ds.push_back(a.demand);
-    return ds;
-  };
-  auto active_allocations = [&]() {
-    std::vector<Allocation> allocs;
-    allocs.reserve(active.size());
-    for (const auto& a : active) allocs.push_back(a.alloc);
-    return allocs;
-  };
-
-  auto reallocate = [&]() {
-    const auto ds = active_demands();
-    const auto allocs = policy.te->allocate(ds);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      active[i].alloc = allocs[i];
-    }
-    if (policy.rescale == RescalePolicy::kBackup) planner.precompute(ds, allocs);
-  };
-
-  double next_schedule = 0.0;
   for (int minute = 0; minute < total_minutes; ++minute) {
-    // Departures.
-    bool changed = false;
-    for (std::size_t i = active.size(); i-- > 0;) {
-      if (active[i].demand.end_minute() <= minute) {
-        active.erase(active.begin() + static_cast<std::ptrdiff_t>(i));
-        changed = true;
-      }
-    }
-
-    // Arrivals within this minute, FCFS.
+    const std::size_t first = next_arrival;
     while (next_arrival < demands.size() &&
            demands[next_arrival].arrival_minute < minute + 1) {
-      const Demand& d = demands[next_arrival];
-      auto& outcome = metrics.outcomes[next_arrival];
-      outcome.offered = true;
-
-      const auto start = std::chrono::steady_clock::now();
-      bool admit = true;
-      if (policy.admission.has_value()) {
-        // Residual capacity under current allocations.
-        std::vector<Demand> ds = active_demands();
-        const auto usage =
-            link_usage(topo, catalog, ds, active_allocations());
-        std::vector<double> residual(usage.size());
-        for (LinkId e = 0; e < topo.link_count(); ++e) {
-          residual[static_cast<std::size_t>(e)] = std::max(
-              0.0, topo.link(e).capacity - usage[static_cast<std::size_t>(e)]);
-        }
-        auto scratch = residual;
-        const bool fixed_ok =
-            greedy_allocate_guaranteed(scheduler, d, scratch).has_value();
-        switch (*policy.admission) {
-          case AdmissionStrategy::kFixed:
-            admit = fixed_ok;
-            break;
-          case AdmissionStrategy::kBate: {
-            admit = fixed_ok;
-            if (!admit) {
-              ds.push_back(d);
-              admit = admission_conjecture(scheduler, ds);
-            }
-            break;
-          }
-          case AdmissionStrategy::kOptimal: {
-            ds.push_back(d);
-            admit = optimal_admission_check(scheduler, ds,
-                                            policy.optimal_options);
-            break;
-          }
-        }
-      }
-      metrics.admission_delay_s.add(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-
-      outcome.admitted = admit;
-      if (admit) {
-        // First-time allocation: greedy from residual; the next scheduling
-        // round optimizes it.
-        const auto usage = link_usage(topo, catalog, active_demands(),
-                                      active_allocations());
-        std::vector<double> residual(usage.size());
-        for (LinkId e = 0; e < topo.link_count(); ++e) {
-          residual[static_cast<std::size_t>(e)] = std::max(
-              0.0, topo.link(e).capacity - usage[static_cast<std::size_t>(e)]);
-        }
-        Allocation first =
-            greedy_allocate_partial(topo, catalog, d, residual);
-        active.push_back({d, std::move(first), next_arrival});
-        changed = true;
-      }
+      metrics.outcomes[next_arrival].offered = true;
+      metrics.outcomes[next_arrival].admitted = !cp;  // admit-all
       ++next_arrival;
     }
+    const std::span<const Demand> arrivals =
+        demands.subspan(first, next_arrival - first);
+    const auto departs = [&](const Demand& d) {
+      return d.end_minute() <= minute;
+    };
 
-    if (changed || minute >= next_schedule) {
-      reallocate();
-      while (next_schedule <= minute) next_schedule += cfg.schedule_period_min;
+    if (cp) {
+      // A baseline hands the class its own allocation after every change,
+      // so its next verdicts see its own residual.
+      const auto reallocate = [&] {
+        if (!bate_allocates) {
+          cp->set_primaries(policy.te->allocate(cp->admitted()));
+        }
+      };
+      std::vector<DemandId> departed;
+      for (const Demand& d : cp->admitted()) {
+        if (departs(d)) departed.push_back(d.id);
+      }
+      if (!cp->withdraw(departed).empty()) reallocate();
+      const BatchAdmissionOutcome out = cp->admit(arrivals);
+      bool admitted_any = false;
+      for (std::size_t i = 0; i < out.outcomes.size(); ++i) {
+        metrics.outcomes[first + i].admitted = out.outcomes[i].admitted;
+        metrics.admission_delay_s.add(out.outcomes[i].decision_seconds);
+        admitted_any = admitted_any || out.outcomes[i].admitted;
+      }
+      if (admitted_any) reallocate();
+    } else if (std::erase_if(active, departs) > 0 || !arrivals.empty()) {
+      active.insert(active.end(), arrivals.begin(), arrivals.end());
+      allocs = policy.te->allocate(active);
     }
 
     // Per-second data plane. Under the backup policy the ingress offers
-    // what the controller's brokers would enforce (BackupPlanner::enforce);
-    // otherwise it keeps the primaries.
-    const std::vector<Demand> ds = active_demands();
-    const std::vector<Allocation> primaries = active_allocations();
+    // what the controller's brokers would enforce; otherwise it keeps the
+    // primaries.
+    const std::vector<Demand>& ds = cp ? cp->admitted() : active;
+    const std::vector<Allocation>& primaries = cp ? cp->primaries() : allocs;
     for (int s = minute * 60; s < (minute + 1) * 60; ++s) {
       if (s >= timeline.seconds()) break;
       const auto failed = timeline.failed_at(s);
-      const std::span<const Allocation> enforced =
-          policy.rescale == RescalePolicy::kBackup
-              ? planner.enforce(ds, primaries, failed)
-              : std::span<const Allocation>(primaries);
+      // The down set follows the timeline; a report that changes nothing is
+      // a no-op, so only the links that changed since the last second count.
+      for (LinkId e = 0; cp && e < topo.link_count(); ++e) {
+        cp->link(e, !std::binary_search(failed.begin(), failed.end(), e));
+      }
+      std::span<const Allocation> enforced(primaries);
+      if (policy.rescale == RescalePolicy::kBackup) {
+        enforced = cp ? cp->enforced() : planner.enforce(ds, primaries, failed);
+      }
       double offered = 0.0;
       double delivered_total = 0.0;
       const auto delivered =
-          deliver_second(topo, catalog, active, enforced, failed,
-                         policy.rescale, &offered, &delivered_total);
+          deliver_second(topo, catalog, ds, enforced, failed, policy.rescale,
+                         &offered, &delivered_total);
       if (offered > 1e-9) {
         metrics.per_second_loss_ratio.push_back(
             std::max(0.0, 1.0 - delivered_total / offered));
       }
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const Demand& d = active[i].demand;
-        auto& o = metrics.outcomes[active[i].outcome_index];
+      for (std::size_t i = 0; i < ds.size(); ++i) {
+        const Demand& d = ds[i];
+        auto& o = metrics.outcomes[outcome_of.at(d.id)];
         ++o.active_seconds;
         bool ok = true;
         double worst_ratio = kInfinity;

@@ -1,11 +1,10 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 
 #include "core/pricing.h"
 #include "core/recovery.h"
+#include "obs/availability.h"
 
 namespace bate {
 
@@ -36,87 +35,6 @@ bool AvailabilityEvaluator::satisfied(const Demand& demand,
   return availability(demand, alloc) + 1e-12 >= demand.availability_target;
 }
 
-namespace {
-
-/// Delivered bandwidth per (demand, pair) when the given link fails and the
-/// policy reacts by proportional rescaling onto surviving tunnels, with
-/// congestion charged multiplicatively (same model as sim/engine.cpp's data
-/// plane, specialized to a static single-failure snapshot).
-std::vector<std::vector<double>> deliver_after_failure(
-    const Topology& topo, const TunnelCatalog& catalog,
-    std::span<const Demand> demands, std::span<const Allocation> allocs,
-    LinkId failed, bool rescale) {
-  std::vector<Allocation> offered(allocs.begin(), allocs.end());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
-      double lost = 0.0;
-      double surviving_total = 0.0;
-      int surviving = 0;
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        if (tunnels[t].uses(failed)) {
-          lost += offered[i][p][t];
-          offered[i][p][t] = 0.0;
-        } else {
-          surviving_total += offered[i][p][t];
-          ++surviving;
-        }
-      }
-      if (rescale && lost > 0.0 && surviving > 0) {
-        for (std::size_t t = 0; t < tunnels.size(); ++t) {
-          if (tunnels[t].uses(failed)) continue;
-          const double share = surviving_total > 1e-12
-                                   ? offered[i][p][t] / surviving_total
-                                   : 1.0 / surviving;
-          offered[i][p][t] += lost * share;
-        }
-      }
-    }
-  }
-
-  std::vector<double> load(static_cast<std::size_t>(topo.link_count()), 0.0);
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        for (LinkId e : tunnels[t].links) {
-          load[static_cast<std::size_t>(e)] += offered[i][p][t];
-        }
-      }
-    }
-  }
-  std::vector<double> scale(load.size(), 1.0);
-  for (LinkId e = 0; e < topo.link_count(); ++e) {
-    const auto ei = static_cast<std::size_t>(e);
-    if (load[ei] > topo.link(e).capacity + 1e-9) {
-      scale[ei] = topo.link(e).capacity / load[ei];
-    }
-  }
-
-  std::vector<std::vector<double>> delivered(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    const Demand& d = demands[i];
-    delivered[i].assign(d.pairs.size(), 0.0);
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        const double f = offered[i][p][t];
-        if (f <= 0.0) continue;
-        double s = 1.0;
-        for (LinkId e : tunnels[t].links) {
-          s = std::min(s, scale[static_cast<std::size_t>(e)]);
-        }
-        delivered[i][p] += f * s;
-      }
-    }
-  }
-  return delivered;
-}
-
-}  // namespace
-
 TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
                          std::span<const Demand> demands, bool use_recovery) {
   TeEvaluation eval;
@@ -142,8 +60,15 @@ TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
   eval.mean_link_utilization = util / std::max(1, topo.link_count());
 
   // Expected post-failure profit over single-link failure scenarios,
-  // weighted by failure probability (Fig 15).
+  // weighted by failure probability (Fig 15). A loaded link's failure is
+  // scored the way run_testbed_sim scores one second with that link down:
+  // the ingress offers BackupPlanner::enforce under recovery and the
+  // primaries, rescaled proportionally, otherwise; a demand keeps full
+  // profit when every pair's delivered ratio is interval_satisfied.
   const double baseline = full_profit(demands);
+  const RescalePolicy rescale =
+      use_recovery ? RescalePolicy::kBackup : RescalePolicy::kProportional;
+  BackupPlanner planner(topo, catalog);
   double weighted_profit = 0.0;
   double weight = 0.0;
   for (LinkId e = 0; e < topo.link_count(); ++e) {
@@ -154,37 +79,19 @@ TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
       weight += w;
       continue;
     }
-    std::vector<char> ok(demands.size(), 0);
-    if (use_recovery) {
-      const LinkId failed[] = {e};
-      const RecoveryResult rec =
-          recover_greedy(topo, catalog, demands, failed);
-      // Score what the recovery plan actually delivers: the greedy's F-set
-      // flag under-counts demands made whole by the best-effort tail.
-      for (std::size_t i = 0; i < demands.size(); ++i) {
-        bool whole = true;
-        for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
-          double carried = 0.0;
-          for (double f : rec.alloc[i][p]) carried += f;
-          if (carried + 1e-6 < 0.99 * demands[i].pairs[p].mbps) {
-            whole = false;
-            break;
-          }
+    const LinkId failed[] = {e};
+    const std::span<const Allocation> table =
+        use_recovery ? planner.enforce(demands, allocs, failed)
+                     : std::span<const Allocation>(allocs);
+    const auto delivered = deliver_second(topo, catalog, demands, table,
+                                          failed, rescale);
+    std::vector<char> ok(demands.size(), 1);
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
+        if (!obs::interval_satisfied(delivered[i][p] /
+                                     demands[i].pairs[p].mbps)) {
+          ok[i] = 0;
         }
-        ok[i] = whole ? 1 : 0;
-      }
-    } else {
-      const auto delivered =
-          deliver_after_failure(topo, catalog, demands, allocs, e, true);
-      for (std::size_t i = 0; i < demands.size(); ++i) {
-        bool whole = true;
-        for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
-          if (delivered[i][p] + 1e-6 < 0.99 * demands[i].pairs[p].mbps) {
-            whole = false;
-            break;
-          }
-        }
-        ok[i] = whole ? 1 : 0;
       }
     }
     weighted_profit += w * total_profit(demands, ok);

@@ -47,9 +47,10 @@ struct TeEvaluation {
   double post_failure_profit_fraction = 1.0;
 };
 
-/// Allocates `demands` with the scheme and scores it. `use_recovery`
-/// applies BATE's greedy failure recovery inside the post-failure profit
-/// expectation; other schemes rescale proportionally.
+/// Allocates `demands` with the scheme and scores it. Each single-link
+/// failure is scored through the simulator's data plane (deliver_second):
+/// under `use_recovery` the ingress offers BackupPlanner::enforce, otherwise
+/// the primaries rescaled proportionally.
 TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
                          std::span<const Demand> demands, bool use_recovery);
 

@@ -71,8 +71,8 @@ Controller::Controller(const Topology& topo, const TunnelCatalog& catalog,
                        SchedulerConfig scheduler_cfg,
                        AdmissionStrategy admission, ControllerConfig config)
     : scheduler_(topo, catalog, scheduler_cfg),
-      admission_(scheduler_, admission),
-      planner_(topo, catalog),
+      control_(scheduler_, admission, config.reschedule_after_batch,
+               config.precompute_backup),
       config_(config),
       ledger_(obs::SloLedger::Config{kSloMaxTransitions, 1024}) {
   if (config_.tenant_rate_per_sec > 0.0) {
@@ -280,19 +280,12 @@ void Controller::handle_message(Peer& peer, const Message& msg,
     // withdraw and leak the demand.
     purge_queue_for_demand(withdraw->id);
     ledger_.withdraw(withdraw->id, obs::now_us());
-    const std::vector<Demand>& admitted = admission_.admitted();
-    const auto it = std::find_if(
-        admitted.begin(), admitted.end(),
-        [&](const Demand& d) { return d.id == withdraw->id; });
+    const std::vector<Demand> removed = control_.withdraw({&withdraw->id, 1});
     // An id that is not admitted leaves what brokers enforce unchanged.
-    if (it == admitted.end()) return;
+    if (removed.empty()) return;
     // Brokers keep enforcing a row until told to drop it, so the broadcast
     // carries an empty row per pair of the departed demand.
-    const Demand removed = *it;
-    admission_.remove(withdraw->id);
-    admission_.reschedule();
-    planner_.precompute(admission_.admitted(), admission_.allocations());
-    publish(nullptr, 0, {&removed, 1});
+    publish(nullptr, 0, removed);
     return;
   }
   if (const auto* status = std::get_if<LinkStatusMsg>(&msg)) {
@@ -304,12 +297,8 @@ void Controller::handle_message(Peer& peer, const Message& msg,
           << "link report for unknown link " << status->link;
       return;
     }
-    if (status->up) {
-      down_links_.erase(status->link);
-    } else {
-      ControllerMetrics::get().failures.inc();
-      down_links_.insert(status->link);
-    }
+    if (!status->up) ControllerMetrics::get().failures.inc();
+    control_.link(status->link, status->up);
     publish();
     return;
   }
@@ -421,7 +410,7 @@ void Controller::drain_admission_queue() {
   std::vector<Demand> demands;
   demands.reserve(batch.size());
   for (const PendingAdmission& p : batch) demands.push_back(p.demand);
-  const BatchAdmissionOutcome result = admission_.offer_batch(demands);
+  const BatchAdmissionOutcome result = control_.admit(demands);
 
   // Per-peer reply batches: one write per peer per tick, not per verdict.
   std::map<int, FrameBatch> outboxes;
@@ -455,19 +444,9 @@ void Controller::drain_admission_queue() {
   }
 
   if (!any_admitted) return;
-  bool rescheduled = result.rescheduled;
-  if (!rescheduled && config_.reschedule_after_batch) {
-    // One scheduling round per batch with admissions — the pre-pipeline
-    // behaviour ran one per request.
-    admission_.reschedule();
-    rescheduled = true;
-  }
-  if (config_.precompute_backup) {
-    planner_.precompute(admission_.admitted(), admission_.allocations());
-  }
-  // A reschedule may have moved anyone's rates; greedy admissions appended
-  // to the tail without touching existing allocations.
-  publish(nullptr, rescheduled ? 0 : result.first_new_index);
+  // A round may have moved anyone's rates; greedy admissions appended to
+  // the tail without touching existing allocations.
+  publish(nullptr, result.rescheduled ? 0 : result.first_new_index);
 }
 
 int Controller::send_allocations_to(Peer& peer,
@@ -477,7 +456,7 @@ int Controller::send_allocations_to(Peer& peer,
                                     std::span<const Demand> removed) {
   BATE_DCHECK_MSG(demands.size() == allocs.size(),
                   "controller: demand/allocation desync");
-  const bool backup = !down_links_.empty();
+  const bool backup = !control_.down().empty();
   int sent = 0;
   FrameBatch batch;
   for (std::size_t i = 0; i < demands.size(); ++i) {
@@ -507,15 +486,13 @@ int Controller::send_allocations_to(Peer& peer,
 
 void Controller::publish(Peer* to, std::size_t first,
                          std::span<const Demand> removed) {
-  const std::vector<LinkId> down(down_links_.begin(), down_links_.end());
-  const std::span<const Demand> demands(admission_.admitted());
-  const std::span<const Allocation> table =
-      planner_.enforce(demands, admission_.allocations(), down);
+  const std::span<const Demand> demands(control_.admitted());
+  const std::span<const Allocation> table = control_.enforced();
   auto& m = ControllerMetrics::get();
   if (to != nullptr) {
     m.updates.inc(send_allocations_to(*to, demands, table));
   } else {
-    if (!down.empty()) first = 0;
+    if (!control_.down().empty()) first = 0;
     obs::Span span("controller.broadcast");
     const obs::SpanContext sc = span.context();
     const FrameContext trace{sc.trace_id, sc.span_id};
@@ -538,7 +515,8 @@ void Controller::refresh_slo(std::span<const Allocation> table,
   // tunnel crossing a down link. This is the controller-side replay of the
   // simulator's deliver_second satisfied rule, through the shared
   // obs::interval_satisfied floor.
-  const std::vector<Demand>& demands = admission_.admitted();
+  const std::vector<Demand>& demands = control_.admitted();
+  const std::vector<LinkId>& down = control_.down();
   const TunnelCatalog& catalog = scheduler_.catalog();
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
@@ -553,10 +531,10 @@ void Controller::refresh_slo(std::span<const Allocation> table,
       const std::vector<double>& rates = table[i][p];
       double delivered = 0.0;
       for (std::size_t t = 0; t < rates.size(); ++t) {
-        if (!down_links_.empty() && t < tunnels.size()) {
+        if (!down.empty() && t < tunnels.size()) {
           bool tunnel_up = true;
           for (const LinkId link : tunnels[t].links) {
-            if (down_links_.count(link) != 0) {
+            if (std::binary_search(down.begin(), down.end(), link)) {
               tunnel_up = false;
               break;
             }

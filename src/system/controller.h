@@ -5,17 +5,19 @@
 // The controller runs its epoll loop on a dedicated thread. Users connect,
 // submit demands and receive admission replies; brokers connect, introduce
 // themselves with Hello{role="broker"} and then receive allocation updates.
-// Every event (link down or up, admission batch, withdraw, broker Hello)
-// ends in one publish step: brokers get what BackupPlanner::enforce picks
-// for the admitted set, its primary allocations and every link currently
-// reported down, flagged backup while any link is down.
+// Admission, scheduling, backup precompute and the down set live in one
+// ControlPlane (core/control_plane.h), the event sequence the testbed
+// simulator and tools/bate_plan also run. Every event (link down or up,
+// admission batch, withdraw, broker Hello) ends in one publish step:
+// brokers get ControlPlane::enforced(), flagged backup while any link is
+// down.
 //
 // Admission pipeline (DESIGN.md Sec 10): SubmitDemand frames are enqueued
 // (bounded, per-tenant token buckets at ingress, overflow shed with
 // retry_after) and the queue drains once per event-loop tick through one
-// batched AdmissionController::offer_batch call; per-demand verdict replies
-// are flushed as a single batched write per peer, correlated by request_id
-// so every connection may pipeline many in-flight submits.
+// ControlPlane::admit call; per-demand verdict replies are flushed as a
+// single batched write per peer, correlated by request_id so every
+// connection may pipeline many in-flight submits.
 //
 // Threading: the controller deliberately owns NO locks — all of its state
 // is confined to the event-loop thread (cross-thread mutation goes through
@@ -35,8 +37,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/admission.h"
-#include "core/recovery.h"
+#include "core/control_plane.h"
 #include "core/scheduling.h"
 #include "net/event_loop.h"
 #include "net/framing.h"
@@ -145,7 +146,7 @@ class Controller {
   void on_submit(Peer& peer, const SubmitDemandMsg& submit,
                  const obs::SpanContext& trace);
   /// Tick handler: drains the whole admission queue through
-  /// AdmissionController::offer_batch and flushes per-peer reply batches.
+  /// ControlPlane::admit and flushes per-peer reply batches.
   void drain_admission_queue();
   /// Sheds one request with kShed + retry_after and counts it.
   void shed(Peer& peer, std::uint64_t request_id, DemandId id,
@@ -168,11 +169,11 @@ class Controller {
                           std::span<const Allocation> allocs,
                           const FrameContext& trace = {},
                           std::span<const Demand> removed = {});
-  /// The step every event ends with: sends the table BackupPlanner::enforce
-  /// picks for the admitted set, its primaries and down_links_, then feeds
-  /// the same table to refresh_slo. `to` set: that broker alone gets every
-  /// row (a Hello snapshot). Otherwise every broker gets admitted()[first..]
-  /// under one controller.broadcast span, plus row removals for `removed`.
+  /// The step every event ends with: sends ControlPlane::enforced(), then
+  /// feeds the same table to refresh_slo. `to` set: that broker alone gets
+  /// every row (a Hello snapshot). Otherwise every broker gets
+  /// admitted()[first..] under one controller.broadcast span, plus row
+  /// removals for `removed`.
   /// `first` > 0 is the delta after greedy admissions that moved nobody
   /// else; it holds only while no link is down, since a backup plan may
   /// move any row.
@@ -194,8 +195,7 @@ class Controller {
   // Loop-thread state: touched only from the epoll thread (callbacks), or
   // before start() / after stop() joins it.
   TrafficScheduler scheduler_;
-  AdmissionController admission_;
-  BackupPlanner planner_;
+  ControlPlane control_;
   ControllerConfig config_;
   std::optional<RequestRateLimiter> limiter_;
   std::unique_ptr<TcpListener> listener_;
@@ -211,8 +211,6 @@ class Controller {
   // kObsLedger is below every subsystem rank).
   obs::SloLedger ledger_;
   obs::TimeSeriesStore series_;
-  /// Links currently reported down by brokers (loop thread only).
-  std::set<LinkId> down_links_;
   std::int64_t next_sample_us_ = 0;
 
   std::thread thread_;

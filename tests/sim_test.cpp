@@ -6,11 +6,13 @@
 #include "baselines/ffc.h"
 #include "baselines/teavar.h"
 #include "core/bate_scheme.h"
+#include "core/control_plane.h"
 #include "sim/engine.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
 #include "topology/catalog.h"
 #include "util/stats.h"
+#include "workload/sla.h"
 
 namespace bate {
 namespace {
@@ -172,6 +174,61 @@ TEST(Engine, SharedTimelineIsFairAcrossPolicies) {
   const SimMetrics mb = run_testbed_sim(fx.scheduler, b, demands, timeline, cfg);
   // Identical failure processes: the recorded link failure counts match.
   EXPECT_EQ(ma.link_failure_counts, mb.link_failure_counts);
+}
+
+TEST(Engine, VerdictsAreTheControlPlanesOnAFig07bWorkload) {
+  // Fig 7(b)'s workload on testbed6 at 6 arrivals/min for 10 minutes. The
+  // simulator's verdicts must be those of a ControlPlane driven directly:
+  // each minute's departures as one withdraw, its arrivals as one batch.
+  EngineFixture fx;
+  WorkloadConfig wl;
+  wl.arrival_rate_per_min = 6.0;
+  wl.mean_duration_min = 5.0;
+  wl.horizon_min = 10.0;
+  wl.bw_min_mbps = 100.0;
+  wl.bw_max_mbps = 400.0;
+  wl.availability_targets = testbed_target_set();
+  wl.services = testbed_services();
+  wl.seed = 200;
+  const std::vector<Demand> demands = generate_demands(fx.catalog, wl);
+  Rng rng(9000);
+  const FailureTimeline timeline(fx.topo, 10 * 60, 3.0, rng);
+  const SimPolicy policy{"BATE", AdmissionStrategy::kBate, &fx.bate,
+                         RescalePolicy::kBackup};
+  TestbedSimConfig cfg;
+  cfg.horizon_min = 10.0;
+  const SimMetrics m =
+      run_testbed_sim(fx.scheduler, policy, demands, timeline, cfg);
+
+  ControlPlane cp(fx.scheduler, AdmissionStrategy::kBate);
+  std::vector<char> verdicts;
+  std::size_t next = 0;
+  for (int minute = 0; minute < 10; ++minute) {
+    std::vector<DemandId> departed;
+    for (const Demand& d : cp.admitted()) {
+      if (d.end_minute() <= minute) departed.push_back(d.id);
+    }
+    cp.withdraw(departed);
+    std::vector<Demand> batch;
+    while (next < demands.size() && demands[next].arrival_minute < minute + 1) {
+      batch.push_back(demands[next++]);
+    }
+    for (const AdmissionOutcome& o : cp.admit(batch).outcomes) {
+      verdicts.push_back(o.admitted ? 1 : 0);
+    }
+  }
+  ASSERT_EQ(verdicts.size(), next);
+  ASSERT_GT(next, 40u);
+  int admitted = 0;
+  for (std::size_t i = 0; i < next; ++i) {
+    EXPECT_TRUE(m.outcomes[i].offered);
+    EXPECT_EQ(m.outcomes[i].admitted, verdicts[i] != 0)
+        << "demand " << demands[i].id;
+    admitted += verdicts[i];
+  }
+  // The workload exercises both verdicts.
+  EXPECT_GT(admitted, 0);
+  EXPECT_LT(admitted, static_cast<int>(next));
 }
 
 TEST(Experiment, EvaluatorMatchesSchedulerAvailability) {

@@ -1,10 +1,12 @@
 // bate_plan — command-line BA planner.
 //
 // Reads a topology file (topology/io.h format) and a demand file
-// (workload/io.h format), runs BATE admission + scheduling, and prints the
-// plan: per-demand tunnel rates, hard availability vs target, and the
-// per-link backup coverage. Exit code 0 when every offered demand was
-// admitted, 2 otherwise.
+// (workload/io.h format), admits the demands as one batch through the
+// controller's event sequence (core/control_plane.h: BATE admission, a
+// scheduling round and the backup precompute), and prints the plan:
+// per-demand tunnel rates, hard availability vs target, and the per-link
+// backup coverage. Exit code 0 when every offered demand was admitted, 2
+// otherwise.
 //
 // Usage:
 //   bate_plan <topology-file> <demand-file> [tunnels-per-pair] [max-failures]
@@ -13,8 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "core/admission.h"
-#include "core/recovery.h"
+#include "core/control_plane.h"
 #include "core/scheduling.h"
 #include "topology/catalog.h"
 #include "topology/io.h"
@@ -31,22 +32,22 @@ int plan(const Topology& topo, const std::vector<Demand>& demands,
   SchedulerConfig cfg;
   cfg.max_failures = max_failures;
   const TrafficScheduler scheduler(topo, catalog, cfg);
-  AdmissionController admission(scheduler, AdmissionStrategy::kBate);
+  ControlPlane control(scheduler, AdmissionStrategy::kBate);
+  const BatchAdmissionOutcome outcome = control.admit(demands);
 
   int rejected = 0;
-  for (const Demand& d : demands) {
-    if (!admission.offer(d).admitted) {
-      ++rejected;
-      std::printf("REJECTED demand %d (%.0f Mbps @ %.4f%%): not guaranteeable "
-                  "with the current plan\n",
-                  d.id, d.total_mbps(), d.availability_target * 100.0);
-    }
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    if (outcome.outcomes[i].admitted) continue;
+    const Demand& d = demands[i];
+    ++rejected;
+    std::printf("REJECTED demand %d (%.0f Mbps @ %.4f%%): not guaranteeable "
+                "with the current plan\n",
+                d.id, d.total_mbps(), d.availability_target * 100.0);
   }
-  admission.reschedule();
 
   Table table({"demand", "tunnel", "Mbps", "hard_availability", "target"});
-  const auto& admitted = admission.admitted();
-  const auto& allocs = admission.allocations();
+  const auto& admitted = control.admitted();
+  const auto& allocs = control.primaries();
   for (std::size_t i = 0; i < admitted.size(); ++i) {
     const double avail =
         scheduler.achieved_availability(admitted[i], allocs[i]);
@@ -63,11 +64,9 @@ int plan(const Topology& topo, const std::vector<Demand>& demands,
   }
   std::printf("\n%s", table.to_string("BATE plan").c_str());
 
-  BackupPlanner planner(topo, catalog);
-  planner.precompute(admitted, allocs);
   std::printf("\n%zu backup plans pre-computed (one per loaded link; "
               "concurrent failures are planned when they occur)\n",
-              planner.plan_count());
+              control.planner().plan_count());
   std::printf("%d/%zu demands admitted\n",
               static_cast<int>(demands.size()) - rejected, demands.size());
   return rejected == 0 ? 0 : 2;

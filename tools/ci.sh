@@ -11,8 +11,10 @@
 #   5. lint        bate_lint (always) + clang-tidy (when installed)
 #   6. bench-smoke the controller-loop benchmark first (perfbench/run.py
 #                  --selftest, then one short run of every BENCHMARK.json
-#                  workload; any non-zero exit, including a failed output
-#                  check, fails the leg); bench_solver + bench_milp with a
+#                  workload at --trace 0 and one at --trace 1, the traced
+#                  pass whose stage sums need every event's span path; any
+#                  non-zero exit, including a failed output check, fails
+#                  the leg); bench_solver + bench_milp with a
 #                  tiny rep count; validates the emitted BENCH json against
 #                  the schema (tools/bench_report.h), diffs both against the
 #                  committed baselines (timing for the solver bench; node
@@ -89,13 +91,15 @@ for leg in "${legs[@]}"; do
       fi
       ;;
     bench-smoke)
-      banner "perfbench: selftest + one short run per BENCHMARK.json workload"
+      banner "perfbench: selftest + one untraced and one traced run per BENCHMARK.json workload"
       python3 perfbench/run.py --selftest
       for workload in $(python3 -c 'import json, sys
 for w in json.load(open(sys.argv[1]))["workloads"]:
     print(w["name"])' "$ROOT/BENCHMARK.json"); do
-        python3 perfbench/run.py --workload "$workload" --seconds 25 \
-          --trace 0 --seed 9001
+        for trace in 0 1; do
+          python3 perfbench/run.py --workload "$workload" --seconds 25 \
+            --trace "$trace" --seed 9001
+        done
       done
       banner "bench-smoke (bench_solver + bench_milp --reps 1 + schema validation)"
       cmake --preset dev
