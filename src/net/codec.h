@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -10,15 +11,18 @@
 
 namespace bate {
 
+/// Appends little-endian fields to a byte buffer: its own (bytes()), or one
+/// it is handed, so an encoder can write straight into a frame batch.
 class BufferWriter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  BufferWriter() : out_(&own_) {}
+  explicit BufferWriter(std::vector<std::uint8_t>& out) : out_(&out) {}
+  BufferWriter(const BufferWriter&) = delete;
+  BufferWriter& operator=(const BufferWriter&) = delete;
+
+  void u8(std::uint8_t v) { out_->push_back(v); }
+  void u32(std::uint32_t v) { put<4>(v); }
+  void u64(std::uint64_t v) { put<8>(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
@@ -27,17 +31,29 @@ class BufferWriter {
   }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    out_->insert(out_->end(), s.begin(), s.end());
   }
-  void f64_vec(const std::vector<double>& v) {
+  void f64_vec(std::span<const double> v) {
     u32(static_cast<std::uint32_t>(v.size()));
     for (double x : v) f64(x);
   }
+  void f64_vec(std::initializer_list<double> v) {
+    f64_vec(std::span<const double>(v.begin(), v.size()));
+  }
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  const std::vector<std::uint8_t>& bytes() const { return *out_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  /// One append of the N low bytes of `v`, least significant first.
+  template <int N>
+  void put(std::uint64_t v) {
+    std::uint8_t b[N];
+    for (int i = 0; i < N; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    out_->insert(out_->end(), b, b + N);
+  }
+
+  std::vector<std::uint8_t> own_;
+  std::vector<std::uint8_t>* out_;
 };
 
 class BufferReader {

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -52,15 +51,27 @@ std::vector<std::uint8_t> encode_frame(std::span<const std::uint8_t> payload,
                                        const FrameContext& ctx = {});
 
 /// Accumulates many framed payloads into one contiguous buffer so a
-/// pipelined sender (the controller's per-tick reply flush, UserClient's
-/// submit_many) hands the kernel a single write per flush instead of one
-/// per frame. The byte stream is identical to a sequence of encode_frame
-/// outputs; any FrameReader decodes it.
+/// pipelined sender (the controller's per-tick reply flush and allocation
+/// broadcast, UserClient's submit_many) hands the kernel a single write per
+/// flush instead of one per frame. The byte stream is identical to a
+/// sequence of encode_frame outputs; any FrameReader decodes it. The buffer
+/// grows geometrically, so building a batch costs amortized O(bytes).
 class FrameBatch {
  public:
   /// Appends one framed payload (with a trace-context header when
   /// `ctx.valid()`). Throws std::length_error beyond kMaxFrameBytes.
   void add(std::span<const std::uint8_t> payload, const FrameContext& ctx = {});
+
+  /// Appends one frame whose payload `write(buffer)` appends to the batch's
+  /// buffer in place, behind the frame header, so the payload is never built
+  /// apart and copied in. `write` must only append. Throws
+  /// std::length_error (dropping the frame) beyond kMaxFrameBytes.
+  template <typename Write>
+  void add_in_place(const FrameContext& ctx, Write&& write) {
+    const std::size_t start = open_frame(ctx);
+    write(buffer_);
+    close_frame(start);
+  }
 
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
   std::size_t frame_count() const { return frames_; }
@@ -71,11 +82,18 @@ class FrameBatch {
   }
 
  private:
+  /// Writes a header with a zero length; returns the frame's offset.
+  std::size_t open_frame(const FrameContext& ctx);
+  /// Patches the length of the frame opened at `start`.
+  void close_frame(std::size_t start);
+
   std::vector<std::uint8_t> buffer_;
   std::size_t frames_ = 0;
 };
 
 /// Incremental frame decoder: feed stream bytes, pop complete frames.
+/// Popping a frame advances a read offset; the consumed prefix is dropped
+/// once per feed, not once per frame.
 class FrameReader {
  public:
   /// Appends bytes from the stream. Throws std::length_error when a frame
@@ -88,10 +106,12 @@ class FrameReader {
   /// frame carried none).
   std::optional<Frame> next_frame();
 
-  std::size_t buffered_bytes() const { return buffer_.size(); }
+  std::size_t buffered_bytes() const { return buffer_.size() - offset_; }
 
  private:
   std::vector<std::uint8_t> buffer_;
+  /// Start of the first unread byte in buffer_.
+  std::size_t offset_ = 0;
 };
 
 }  // namespace bate

@@ -1,7 +1,6 @@
 #include "system/broker.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -88,7 +87,9 @@ void Broker::stop() {
 // fd stays valid for the loop's whole lifetime.
 void Broker::receive_loop() {
   FrameReader reader;
-  std::array<std::uint8_t, 4096> buf{};
+  // Sized so one read takes whatever is queued: a broadcast of a few
+  // hundred rows (about 10 KB for 200) arrives in one call.
+  std::vector<std::uint8_t> buf(64 * 1024);
   while (running_) {
     long n = 0;
     try {
@@ -130,10 +131,8 @@ void Broker::apply_update(const AllocationUpdateMsg& update) {
     MutexLock lock(mu_);
     if (update.tunnel_mbps.empty()) {
       // The controller's removal of a withdrawn demand's row.
-      rates_.erase({update.id, update.pair});
       enforcer_.remove(update.id, update.pair);
     } else {
-      rates_[{update.id, update.pair}] = update.tunnel_mbps;
       enforcer_.update(update.id, update.pair, update.tunnel_mbps);
     }
     backup_active_ = update.backup;
@@ -144,8 +143,7 @@ void Broker::apply_update(const AllocationUpdateMsg& update) {
 
 std::vector<double> Broker::enforced_rates(DemandId id, int pair) const {
   ReaderMutexLock lock(mu_);
-  const auto it = rates_.find({id, pair});
-  return it == rates_.end() ? std::vector<double>{} : it->second;
+  return enforcer_.rates(id, pair);
 }
 
 double Broker::enforced_total(DemandId id, int pair) const {

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -71,8 +70,8 @@ class Broker {
   /// the stop() ordering proof below), so the analysis is off for it; all
   /// state mutation is delegated to apply_update().
   void receive_loop() BATE_NO_THREAD_SAFETY_ANALYSIS;
-  /// Applies one allocation update to the enforcer view (takes mu_). An
-  /// update with no tunnel rates removes the (demand, pair) row.
+  /// Applies one allocation update to the enforcer (takes mu_). An update
+  /// with no tunnel rates removes the (demand, pair) row.
   void apply_update(const AllocationUpdateMsg& update) BATE_EXCLUDES(mu_);
 
   int dc_;
@@ -95,9 +94,8 @@ class Broker {
 
   mutable Mutex mu_{LockRank::kBroker, "broker state"};
   mutable CondVar cv_;  // signalled per update, waits on mu_
+  /// The one row table: each tunnel's bucket holds its enforced rate.
   BandwidthEnforcer enforcer_ BATE_GUARDED_BY(mu_);
-  std::map<std::pair<DemandId, int>, std::vector<double>> rates_
-      BATE_GUARDED_BY(mu_);
   int updates_ BATE_GUARDED_BY(mu_) = 0;
   bool backup_active_ BATE_GUARDED_BY(mu_) = false;
 };

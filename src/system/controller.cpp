@@ -449,61 +449,33 @@ void Controller::drain_admission_queue() {
   publish(nullptr, result.rescheduled ? 0 : result.first_new_index);
 }
 
-int Controller::send_allocations_to(Peer& peer,
-                                    std::span<const Demand> demands,
-                                    std::span<const Allocation> allocs,
-                                    const FrameContext& trace,
-                                    std::span<const Demand> removed) {
-  BATE_DCHECK_MSG(demands.size() == allocs.size(),
-                  "controller: demand/allocation desync");
-  const bool backup = !control_.down().empty();
-  int sent = 0;
-  FrameBatch batch;
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
-      AllocationUpdateMsg update;
-      update.id = demands[i].id;
-      update.pair = demands[i].pairs[p].pair;
-      update.tunnel_mbps = allocs[i][p];
-      update.backup = backup;
-      batch.add(encode_message(update), trace);
-      ++sent;
-    }
-  }
-  for (const Demand& d : removed) {
-    for (const PairDemand& pd : d.pairs) {
-      AllocationUpdateMsg update;  // empty tunnel_mbps: drop the row
-      update.id = d.id;
-      update.pair = pd.pair;
-      update.backup = backup;
-      batch.add(encode_message(update), trace);
-      ++sent;
-    }
-  }
-  flush_batch(peer, batch);
-  return sent;
-}
-
 void Controller::publish(Peer* to, std::size_t first,
                          std::span<const Demand> removed) {
   const std::span<const Demand> demands(control_.admitted());
   const std::span<const Allocation> table = control_.enforced();
+  const bool backup = !control_.down().empty();
   auto& m = ControllerMetrics::get();
   if (to != nullptr) {
-    m.updates.inc(send_allocations_to(*to, demands, table));
+    FrameBatch batch;
+    add_allocation_rows(batch, demands, table, {}, backup);
+    flush_batch(*to, batch);
+    m.updates.inc(static_cast<std::int64_t>(batch.frame_count()));
   } else {
-    if (!control_.down().empty()) first = 0;
+    if (backup) first = 0;
     obs::Span span("controller.broadcast");
     const obs::SpanContext sc = span.context();
-    const FrameContext trace{sc.trace_id, sc.span_id};
     const std::int64_t t0 = obs::now_us();
-    int sent = 0;
+    // Encoded once: every broker gets the same bytes.
+    FrameBatch batch;
+    add_allocation_rows(batch, demands.subspan(first), table.subspan(first),
+                        removed, backup, {sc.trace_id, sc.span_id});
+    std::size_t sent = 0;
     for (auto& [fd, peer] : peers_) {
       if (peer.role != "broker") continue;
-      sent += send_allocations_to(peer, demands.subspan(first),
-                                  table.subspan(first), trace, removed);
+      flush_batch(peer, batch);
+      sent += batch.frame_count();
     }
-    m.updates.inc(sent);
+    m.updates.inc(static_cast<std::int64_t>(sent));
     if (obs::enabled() && sent > 0) m.fanout_us.record(obs::now_us() - t0);
   }
   refresh_slo(table, obs::now_us());

@@ -160,20 +160,14 @@ class Controller {
   void send_to(Peer& peer, const Message& msg);
   /// Flushes an accumulated frame batch to `peer` with one write.
   void flush_batch(Peer& peer, const FrameBatch& batch);
-  /// Sends one AllocationUpdate per (demand, pair) to `peer` as a single
-  /// batched write, stamping `trace` onto every frame and flagging backup
-  /// while any link is down, followed by one empty (row-removing) update per
-  /// pair of each `removed` demand; returns the number of updates. Loop
-  /// thread only.
-  int send_allocations_to(Peer& peer, std::span<const Demand> demands,
-                          std::span<const Allocation> allocs,
-                          const FrameContext& trace = {},
-                          std::span<const Demand> removed = {});
   /// The step every event ends with: sends ControlPlane::enforced(), then
-  /// feeds the same table to refresh_slo. `to` set: that broker alone gets
-  /// every row (a Hello snapshot). Otherwise every broker gets
-  /// admitted()[first..] under one controller.broadcast span, plus row
-  /// removals for `removed`.
+  /// feeds the same table to refresh_slo. The rows are framed once (one
+  /// AllocationUpdate per (demand, pair), flagged backup while any link is
+  /// down) and the same bytes go to each recipient in one write. `to` set:
+  /// that broker alone gets every row (a Hello snapshot). Otherwise every
+  /// broker gets admitted()[first..] under one controller.broadcast span,
+  /// whose context every frame carries, plus an empty (row-removing) update
+  /// per pair of each `removed` demand.
   /// `first` > 0 is the delta after greedy admissions that moved nobody
   /// else; it holds only while no link is down, since a backup plan may
   /// move any row.

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "net/codec.h"
+#include "util/check.h"
 
 namespace bate {
 
@@ -53,7 +54,8 @@ Demand decode_demand(BufferReader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_message(const Message& msg) {
-  BufferWriter w;
+  std::vector<std::uint8_t> out;
+  BufferWriter w(out);
   std::visit(
       [&](const auto& m) {
         using T = std::decay_t<decltype(m)>;
@@ -72,11 +74,8 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
           w.u8(static_cast<std::uint8_t>(m.status));
           w.f64(m.retry_after_ms);
         } else if constexpr (std::is_same_v<T, AllocationUpdateMsg>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kAllocationUpdate));
-          w.i32(m.id);
-          w.i32(m.pair);
-          w.f64_vec(m.tunnel_mbps);
-          w.u8(m.backup ? 1 : 0);
+          append_allocation_update(out, m.id, m.pair, m.tunnel_mbps,
+                                   m.backup);
         } else if constexpr (std::is_same_v<T, WithdrawDemandMsg>) {
           w.u8(static_cast<std::uint8_t>(MsgType::kWithdrawDemand));
           w.i32(m.id);
@@ -102,7 +101,41 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
         }
       },
       msg);
-  return w.bytes();
+  return out;
+}
+
+void append_allocation_update(std::vector<std::uint8_t>& out, DemandId id,
+                              int pair, std::span<const double> tunnel_mbps,
+                              bool backup) {
+  BufferWriter w(out);
+  w.u8(static_cast<std::uint8_t>(MsgType::kAllocationUpdate));
+  w.i32(id);
+  w.i32(pair);
+  w.f64_vec(tunnel_mbps);
+  w.u8(backup ? 1 : 0);
+}
+
+void add_allocation_rows(FrameBatch& batch, std::span<const Demand> demands,
+                         std::span<const Allocation> table,
+                         std::span<const Demand> removed, bool backup,
+                         const FrameContext& ctx) {
+  BATE_DCHECK_MSG(demands.size() == table.size(),
+                  "protocol: demand/allocation desync");
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
+      batch.add_in_place(ctx, [&](std::vector<std::uint8_t>& out) {
+        append_allocation_update(out, demands[i].id, demands[i].pairs[p].pair,
+                                 table[i][p], backup);
+      });
+    }
+  }
+  for (const Demand& d : removed) {
+    for (const PairDemand& pd : d.pairs) {
+      batch.add_in_place(ctx, [&](std::vector<std::uint8_t>& out) {
+        append_allocation_update(out, d.id, pd.pair, {}, backup);
+      });
+    }
+  }
 }
 
 Message decode_message(std::span<const std::uint8_t> payload) {

@@ -9,6 +9,7 @@
 #include <variant>
 #include <vector>
 
+#include "net/framing.h"
 #include "topology/graph.h"
 #include "workload/demand.h"
 
@@ -110,6 +111,26 @@ using Message = std::variant<HelloMsg, SubmitDemandMsg, AdmissionReplyMsg,
 
 /// Encodes a message payload (not yet framed).
 std::vector<std::uint8_t> encode_message(const Message& msg);
+
+/// Appends one AllocationUpdate payload, the bytes encode_message writes
+/// for AllocationUpdateMsg{id, pair, tunnel_mbps, backup}, to `out`. This
+/// is the format's one definition (encode_message's AllocationUpdate
+/// branch calls it); it allocates nothing beyond `out`'s own growth.
+void append_allocation_update(std::vector<std::uint8_t>& out, DemandId id,
+                              int pair, std::span<const double> tunnel_mbps,
+                              bool backup);
+
+/// Frames an allocation table into `batch`: one AllocationUpdate per
+/// (demand, pair) of `demands` with its `table` rates (index-aligned), then
+/// one empty, row-removing update per pair of each `removed` demand, every
+/// frame carrying `ctx`. Each payload is written in place behind its frame
+/// header, so the bytes equal encode_frame(encode_message(
+/// AllocationUpdateMsg{...}), ctx) row by row with no temporary per row.
+void add_allocation_rows(FrameBatch& batch, std::span<const Demand> demands,
+                         std::span<const Allocation> table,
+                         std::span<const Demand> removed, bool backup,
+                         const FrameContext& ctx = {});
+
 /// Decodes a payload. Throws std::out_of_range / std::invalid_argument on
 /// malformed input.
 Message decode_message(std::span<const std::uint8_t> payload);

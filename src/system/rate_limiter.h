@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "workload/demand.h"
 
@@ -121,17 +122,36 @@ class BandwidthEnforcer {
   explicit BandwidthEnforcer(double burst_seconds = 0.1)
       : burst_seconds_(burst_seconds) {}
 
-  /// Installs/updates the per-tunnel rates for a (demand, pair).
+  /// Installs/updates the per-tunnel rates for a (demand, pair). A tunnel
+  /// whose rate is unchanged keeps its bucket and tokens, so re-sending the
+  /// same table hands no tunnel a fresh burst; a new or changed rate starts
+  /// a full bucket.
   void update(DemandId demand, int pair, const std::vector<double>& rates) {
     auto& buckets = table_[{demand, pair}];
-    buckets.clear();
-    for (double rate : rates) {
-      buckets.emplace_back(rate,
-                           std::max(rate * burst_seconds_, 1e-3));
+    if (buckets.size() > rates.size()) {
+      buckets.erase(buckets.begin() + static_cast<std::ptrdiff_t>(rates.size()),
+                    buckets.end());
+    }
+    for (std::size_t t = 0; t < rates.size(); ++t) {
+      if (t == buckets.size()) {
+        buckets.push_back(bucket(rates[t]));
+      } else if (buckets[t].rate() != rates[t]) {
+        buckets[t] = bucket(rates[t]);
+      }
     }
   }
 
   void remove(DemandId demand, int pair) { table_.erase({demand, pair}); }
+
+  /// The enforced per-tunnel rates of a (demand, pair); empty when unknown.
+  std::vector<double> rates(DemandId demand, int pair) const {
+    std::vector<double> out;
+    if (const auto it = table_.find({demand, pair}); it != table_.end()) {
+      out.reserve(it->second.size());
+      for (const TokenBucket& b : it->second) out.push_back(b.rate());
+    }
+    return out;
+  }
 
   /// Advances every bucket by `seconds`.
   void advance(double seconds) {
@@ -152,6 +172,10 @@ class BandwidthEnforcer {
   std::size_t row_count() const { return table_.size(); }
 
  private:
+  TokenBucket bucket(double rate) const {
+    return TokenBucket(rate, std::max(rate * burst_seconds_, 1e-3));
+  }
+
   double burst_seconds_;
   std::map<std::pair<DemandId, int>, std::vector<TokenBucket>> table_;
 };

@@ -3,12 +3,14 @@
 // loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "net/codec.h"
 #include "net/event_loop.h"
 #include "net/framing.h"
 #include "net/socket.h"
+#include "util/rng.h"
 
 namespace bate {
 namespace {
@@ -200,6 +202,78 @@ TEST(Framing, RejectsOversizedTracedFrames) {
   // 1 GiB with bit 31 set.
   const std::uint8_t evil[] = {0x00, 0x00, 0x00, 0xC0};
   EXPECT_THROW(reader.feed(evil), std::length_error);
+}
+
+TEST(Framing, BatchGrowsGeometrically) {
+  // Every reallocation moves the whole batch; a batch that grows by a
+  // constant factor moves O(log n) times over n frames.
+  FrameBatch batch;
+  const std::vector<std::uint8_t> payload(23, 0x5A);
+  const std::uint8_t* data = nullptr;
+  int moves = 0;
+  for (int i = 0; i < 4096; ++i) {
+    batch.add(payload, FrameContext{static_cast<std::uint64_t>(i + 1), 7});
+    if (batch.bytes().data() != data) {
+      data = batch.bytes().data();
+      ++moves;
+    }
+  }
+  EXPECT_EQ(batch.frame_count(), 4096u);
+  EXPECT_LE(moves, 2 * 12 + 8);  // 2 * log2(4096) + 8
+}
+
+TEST(Framing, ReaderReturnsTracedBatchUnderAnySplit) {
+  // 200 traced frames of varying size, as one broadcast carries them.
+  FrameBatch batch;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::uint8_t> p(static_cast<std::size_t>(14 + 8 * (i % 5)));
+    for (std::size_t b = 0; b < p.size(); ++b) {
+      p[b] = static_cast<std::uint8_t>(i * 31 + static_cast<int>(b));
+    }
+    batch.add(p, FrameContext{1000u + static_cast<std::uint64_t>(i), 42});
+    payloads.push_back(std::move(p));
+  }
+  const std::vector<std::uint8_t>& bytes = batch.bytes();
+
+  const auto drain = [&](const std::vector<std::size_t>& chunks) {
+    FrameReader reader;
+    std::vector<Frame> frames;
+    std::size_t at = 0;
+    for (const std::size_t n : chunks) {
+      reader.feed({bytes.data() + at, n});
+      at += n;
+      while (auto f = reader.next_frame()) frames.push_back(std::move(*f));
+    }
+    EXPECT_EQ(at, bytes.size());
+    ASSERT_EQ(frames.size(), payloads.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(frames[i].payload, payloads[i]) << "frame " << i;
+      EXPECT_EQ(frames[i].context.trace_id, 1000u + i);
+      EXPECT_EQ(frames[i].context.span_id, 42u);
+    }
+    EXPECT_EQ(reader.buffered_bytes(), 0u);
+  };
+  const auto fixed = [&](std::size_t size) {
+    std::vector<std::size_t> chunks;
+    for (std::size_t at = 0; at < bytes.size(); at += size) {
+      chunks.push_back(std::min(size, bytes.size() - at));
+    }
+    return chunks;
+  };
+  drain(fixed(4096));
+  drain(fixed(1));
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    std::vector<std::size_t> chunks;
+    for (std::size_t at = 0; at < bytes.size();) {
+      const std::size_t n = std::min<std::size_t>(
+          static_cast<std::size_t>(rng.uniform_int(1, 700)), bytes.size() - at);
+      chunks.push_back(n);
+      at += n;
+    }
+    drain(chunks);
+  }
 }
 
 TEST(Socket, LoopbackEcho) {

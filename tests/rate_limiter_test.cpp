@@ -129,6 +129,20 @@ TEST(BandwidthEnforcer, UpdateReplacesRates) {
   EXPECT_DOUBLE_EQ(enforcer.shape(1, 0, 0, 100.0), 0.0);
 }
 
+TEST(BandwidthEnforcer, IdenticalUpdateKeepsTokens) {
+  // A rebroadcast of the same rates must not refill a drained bucket: at
+  // one broadcast per 20 ms that refill would let a tunnel pass several
+  // times its enforced rate.
+  BandwidthEnforcer enforcer(0.1);
+  enforcer.update(1, 0, {100.0, 50.0});
+  EXPECT_NEAR(enforcer.shape(1, 0, 0, 1000.0), 10.0, 1e-9);
+  enforcer.update(1, 0, {100.0, 50.0});
+  EXPECT_DOUBLE_EQ(enforcer.shape(1, 0, 0, 1000.0), 0.0);
+  // The untouched tunnel still holds its full burst.
+  EXPECT_NEAR(enforcer.shape(1, 0, 1, 1000.0), 5.0, 1e-9);
+  EXPECT_EQ(enforcer.rates(1, 0), (std::vector<double>{100.0, 50.0}));
+}
+
 TEST(BandwidthEnforcer, AdvanceRefillsEveryRow) {
   BandwidthEnforcer enforcer(0.1);
   enforcer.update(1, 0, {100.0});

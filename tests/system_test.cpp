@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -25,6 +26,7 @@
 #include "system/controller.h"
 #include "system/protocol.h"
 #include "topology/catalog.h"
+#include "util/rng.h"
 
 namespace bate {
 namespace {
@@ -137,6 +139,95 @@ TEST(Protocol, RejectsGarbage) {
   const std::uint8_t garbage[] = {0xFF, 0x01, 0x02};
   EXPECT_THROW(decode_message(garbage), std::invalid_argument);
   EXPECT_THROW(decode_message({}), std::out_of_range);
+}
+
+TEST(Protocol, AllocationUpdateBytesArePinned) {
+  // The wire format, byte for byte: type, id, pair, rate count, rates as
+  // little-endian IEEE doubles, backup flag.
+  const std::vector<double> rates = {10.0, 0.5};
+  std::vector<std::uint8_t> want = {4, 7, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0};
+  for (const double r : rates) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &r, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      want.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+    }
+  }
+  want.push_back(1);
+  EXPECT_EQ(encode_message(AllocationUpdateMsg{7, 2, rates, true}), want);
+  std::vector<std::uint8_t> appended = {0xEE};
+  append_allocation_update(appended, 7, 2, rates, true);
+  want.insert(want.begin(), 0xEE);
+  EXPECT_EQ(appended, want);
+}
+
+TEST(Protocol, AllocationRowsMatchPerRowEncoding) {
+  // add_allocation_rows writes every payload in place behind its header;
+  // the stream must equal the per-message path row by row.
+  std::size_t table_rows = 0;
+  std::size_t removal_rows = 0;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    Rng rng(seed);
+    std::vector<Demand> demands;
+    std::vector<Allocation> table;
+    const int n = rng.uniform_int(0, 12);
+    for (int i = 0; i < n; ++i) {
+      Demand d = make_demand(100 + i, 0, 10.0, 0.9);
+      d.pairs.clear();
+      Allocation alloc;
+      const int pairs = rng.uniform_int(1, 3);
+      for (int p = 0; p < pairs; ++p) {
+        d.pairs.push_back({rng.uniform_int(0, 29), 10.0});
+        std::vector<double> rates(
+            static_cast<std::size_t>(rng.uniform_int(1, 5)));
+        for (double& r : rates) {
+          r = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 500.0);
+        }
+        alloc.push_back(std::move(rates));
+      }
+      demands.push_back(std::move(d));
+      table.push_back(std::move(alloc));
+    }
+    std::vector<Demand> removed;
+    for (int i = rng.uniform_int(0, 3); i > 0; --i) {
+      Demand d = make_demand(900 + i, rng.uniform_int(0, 29), 5.0, 0.9);
+      if (rng.bernoulli(0.5)) d.pairs.push_back({rng.uniform_int(0, 29), 5.0});
+      removed.push_back(std::move(d));
+    }
+    for (const Demand& d : demands) table_rows += d.pairs.size();
+    for (const Demand& d : removed) removal_rows += d.pairs.size();
+    for (const bool backup : {false, true}) {
+      for (const FrameContext ctx : {FrameContext{}, FrameContext{seed, 77}}) {
+        std::vector<std::uint8_t> want;
+        std::size_t rows = 0;
+        const auto append = [&](const AllocationUpdateMsg& m) {
+          const auto framed = encode_frame(encode_message(m), ctx);
+          want.insert(want.end(), framed.begin(), framed.end());
+          ++rows;
+        };
+        for (std::size_t i = 0; i < demands.size(); ++i) {
+          for (std::size_t p = 0; p < demands[i].pairs.size(); ++p) {
+            append({demands[i].id, demands[i].pairs[p].pair, table[i][p],
+                    backup});
+          }
+        }
+        for (const Demand& d : removed) {
+          for (const PairDemand& pd : d.pairs) {
+            append({d.id, pd.pair, {}, backup});
+          }
+        }
+        FrameBatch batch;
+        add_allocation_rows(batch, demands, table, removed, backup, ctx);
+        EXPECT_EQ(batch.bytes(), want)
+            << "seed " << seed << " backup " << backup << " traced "
+            << ctx.valid();
+        EXPECT_EQ(batch.frame_count(), rows);
+      }
+    }
+  }
+  // The seeds cover both kinds of row.
+  EXPECT_GT(table_rows, 0u);
+  EXPECT_GT(removal_rows, 0u);
 }
 
 struct SystemFixture : ::testing::Test {
@@ -294,6 +385,50 @@ TEST_F(SystemFixture, EnforcerShapesToUpdatedRates) {
   EXPECT_NEAR(admitted, rates[tunnel], rates[tunnel] * 0.25);
   // Unknown rows drop everything.
   EXPECT_DOUBLE_EQ(broker.shape(42, 0, 0, 10.0), 0.0);
+  broker.stop();
+}
+
+TEST_F(SystemFixture, RebroadcastGrantsNoFreshBurst) {
+  Broker broker(0, controller->port());
+  broker.start();
+  UserClient user(controller->port());
+  ASSERT_TRUE(user.submit(make_demand(1, 0, 200.0, 0.99)));
+  ASSERT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_total(1, 0) > 150.0; }));
+
+  const auto rates = broker.enforced_rates(1, 0);
+  const auto& tunnels = catalog.tunnels(0);
+  std::size_t tunnel = 0;
+  std::set<LinkId> used;
+  for (std::size_t t = 0; t < rates.size() && t < tunnels.size(); ++t) {
+    if (rates[t] > 1.0) tunnel = t;
+    if (rates[t] > 0.0) {
+      used.insert(tunnels[t].links.begin(), tunnels[t].links.end());
+    }
+  }
+  // Reports on a link no loaded tunnel crosses re-send the same row
+  // (flagged backup while it is down) and move no rate.
+  LinkId idle = -1;
+  for (LinkId e = 0; e < topo.link_count() && idle < 0; ++e) {
+    if (used.count(e) == 0) idle = e;
+  }
+  ASSERT_GE(idle, 0);
+
+  // The sender offers more than the rate all the time, so it also sends
+  // right after each broadcast lands: a broadcast that refilled the bucket
+  // would pass a second burst per tick.
+  double admitted = 0.0;
+  for (int tick = 0; tick < 10; ++tick) {
+    broker.advance_enforcer(0.1);
+    admitted += broker.shape(1, 0, tunnel, 1000.0);
+    const int seen = broker.updates_received();
+    broker.report_link(idle, /*up=*/tick % 2 != 0);
+    ASSERT_TRUE(wait_for_broker(
+        broker, [&] { return broker.updates_received() > seen; }));
+    ASSERT_EQ(broker.enforced_rates(1, 0), rates);
+    admitted += broker.shape(1, 0, tunnel, 1000.0);
+  }
+  EXPECT_NEAR(admitted, rates[tunnel], rates[tunnel] * 0.25);
   broker.stop();
 }
 

@@ -137,7 +137,7 @@ for w in json.load(open(sys.argv[1]))["workloads"]:
       smoke_json=$(mktemp /tmp/BENCH_system_smoke.XXXXXX.json)
       "build/dev/bench/bench_system" --arrivals 20000 --out "$smoke_json"
       "build/dev/bench/bench_system" --validate "$smoke_json"
-      # Absolute gates: the committed BENCH_system.json runs 57k
+      # Absolute gates: the committed BENCH_system.json runs 56k
       # admissions/sec at 100k arrivals with a p99 of a few ms; the smoke
       # floor/ceiling leave a wide margin for a loaded CI box while still
       # failing if the pipeline degenerates to per-request behaviour (the
