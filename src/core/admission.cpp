@@ -666,9 +666,10 @@ void AdmissionController::set_allocations(
 bool AdmissionController::reschedule() {
   if (admitted_.empty()) return true;
   // Successive reschedules over a slowly changing admitted set re-solve a
-  // near-identical LP; sched_basis_ chains each period's final basis into
-  // the next solve (stale after admits/removals change the model shape, in
-  // which case schedule() falls back to the cold path on its own).
+  // near-identical LP. sched_basis_ carries each round's final basis into
+  // the next: schedule() translates it onto the new model by demand id, so
+  // admits and withdraws restart from it too, and only a round where no
+  // demand carries over (the first) solves cold.
   const ScheduleResult r = scheduler_->schedule(admitted_, {}, &sched_basis_);
   if (!r.feasible) return false;
   allocations_ = r.alloc;

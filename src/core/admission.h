@@ -147,7 +147,8 @@ class AdmissionController {
   BranchBoundOptions optimal_options_;
   std::vector<Demand> admitted_;
   std::vector<Allocation> allocations_;
-  /// Basis chained across reschedule() calls (see ScheduleBasisCache).
+  /// Basis and repairs chained across reschedule() calls, whatever
+  /// admits and withdraws happen between them (see ScheduleBasisCache).
   ScheduleBasisCache sched_basis_;
 };
 

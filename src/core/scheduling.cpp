@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -40,6 +41,21 @@ void record_schedule_round(const Model& model, long demand_count,
   scenarios.set(static_cast<double>(scenario_count));
   rows.set(static_cast<double>(model.constraint_count()));
   cols.set(static_cast<double>(model.variable_count()));
+}
+
+/// Bitwise equality: the repair memo reuses a result only on identical bits.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(const Allocation& a, const Allocation& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    if (!same_bits(a[p], b[p])) return false;
+  }
+  return true;
 }
 
 /// Pattern distribution for an arbitrary tunnel list under the requested
@@ -149,6 +165,142 @@ std::vector<std::vector<double>> pattern_capabilities(
 
 }  // namespace
 
+std::vector<DemandIdentity> ScheduleBasisCache::map_onto(
+    std::span<const Demand> next, const ScheduleLayout& layout,
+    const Model& model) {
+  const int n = model.variable_count();
+  const int m = model.constraint_count();
+  const Basis& old = lp.basis;
+  const int n0 = old.structural_count;
+  const int m0 = old.constraint_count;
+  const auto sz = [](int i) { return static_cast<std::size_t>(i); };
+  const bool have_old = !old.empty() &&
+                        static_cast<int>(old.basic.size()) == m0 &&
+                        static_cast<int>(old.status.size()) == n0 + m0;
+
+  // Last round's index of every id it held once (-1: held more than once),
+  // and how often each id occurs now.
+  std::unordered_map<DemandId, int> prev;
+  prev.reserve(demands.size());
+  for (std::size_t j = 0; j < demands.size(); ++j) {
+    const auto [it, fresh] = prev.emplace(demands[j].id, static_cast<int>(j));
+    if (!fresh) it->second = -1;
+  }
+  std::unordered_map<DemandId, int> count;
+  count.reserve(next.size());
+  for (const Demand& d : next) ++count[d.id];
+
+  // Old index -> new index of every structural column and row that maps.
+  std::vector<int> col_to(have_old ? sz(n0) : 0, -1);
+  std::vector<int> row_to(have_old ? sz(m0) : 0, -1);
+  std::vector<DemandIdentity> identity(next.size(), DemandIdentity::kNew);
+  bool any_col = false;
+  for (std::size_t i = 0; i < next.size(); ++i) {
+    if (count[next[i].id] > 1) {
+      identity[i] = DemandIdentity::kRepeated;
+      continue;
+    }
+    const auto it = prev.find(next[i].id);
+    if (!have_old || it == prev.end() || it->second < 0) continue;
+    const DemandBlocks& a = blocks[sz(it->second)];
+    const DemandBlocks& b = layout.demands[i];
+    if (!(demands[sz(it->second)] == next[i]) || a.g_count != b.g_count ||
+        a.cover_count != b.cover_count || a.b_count != b.b_count ||
+        a.avail_count != b.avail_count || a.g_first + a.g_count > n0 ||
+        a.b_first + a.b_count > n0 || a.cover_first + a.cover_count > m0 ||
+        a.avail_first + a.avail_count > m0) {
+      continue;
+    }
+    identity[i] = DemandIdentity::kKept;
+    for (int k = 0; k < a.g_count; ++k) {
+      col_to[sz(a.g_first + k)] = b.g_first + k;
+    }
+    for (int k = 0; k < a.b_count; ++k) {
+      col_to[sz(a.b_first + k)] = b.b_first + k;
+    }
+    for (int k = 0; k < a.cover_count; ++k) {
+      row_to[sz(a.cover_first + k)] = b.cover_first + k;
+    }
+    for (int k = 0; k < a.avail_count; ++k) {
+      row_to[sz(a.avail_first + k)] = b.avail_first + k;
+    }
+    any_col = any_col || a.g_count + a.b_count > 0;
+  }
+
+  Basis mapped;
+  if (any_col) {
+    for (std::size_t e = 0; e < link_rows.size() && e < layout.link_rows.size();
+         ++e) {
+      if (link_rows[e] >= 0 && link_rows[e] < m0 && layout.link_rows[e] >= 0) {
+        row_to[sz(link_rows[e])] = layout.link_rows[e];
+      }
+    }
+    mapped.structural_count = n;
+    mapped.constraint_count = m;
+    mapped.basic.assign(sz(m), -1);
+    mapped.status.assign(sz(n + m), VarStatus::kAtLower);
+    // Slacks travel with their rows: an eta update leaves a slack basic at
+    // whichever row position its entering pivot took, and presolve maps
+    // basic columns position by position, so a slack kept at its own row
+    // instead would change the basic set.
+    const auto to_new = [&](int c) {
+      if (c < n0) return col_to[sz(c)];
+      const int r = row_to[sz(c - n0)];
+      return r < 0 ? -1 : n + r;
+    };
+    for (int c = 0; c < n0 + m0; ++c) {
+      const int nc = to_new(c);
+      if (nc >= 0 && old.status[sz(c)] == VarStatus::kAtUpper) {
+        mapped.status[sz(nc)] = VarStatus::kAtUpper;
+      }
+    }
+    std::vector<int> orphans;  // surviving basic columns whose row departed
+    std::vector<char> old_row(sz(m), 0);
+    for (int r = 0; r < m0; ++r) {
+      const int c = old.basic[sz(r)];
+      const int nc = c >= 0 && c < n0 + m0 ? to_new(c) : -1;
+      if (row_to[sz(r)] >= 0) old_row[sz(row_to[sz(r)])] = 1;
+      if (nc < 0) continue;
+      mapped.status[sz(nc)] = VarStatus::kBasic;
+      if (row_to[sz(r)] >= 0) {
+        mapped.basic[sz(row_to[sz(r)])] = nc;
+      } else {
+        orphans.push_back(nc);
+      }
+    }
+    for (int r = 0; r < m; ++r) {
+      if (old_row[sz(r)]) continue;
+      mapped.basic[sz(r)] = n + r;  // a new row starts on its own slack
+      mapped.status[sz(n + r)] = VarStatus::kBasic;
+    }
+    std::size_t next_orphan = 0;
+    int free_slack = 0;
+    for (int r = 0; r < m; ++r) {
+      if (mapped.basic[sz(r)] >= 0) continue;
+      int c = n + r;
+      if (next_orphan < orphans.size()) {
+        c = orphans[next_orphan++];
+      } else if (mapped.status[sz(c)] == VarStatus::kBasic) {
+        while (mapped.status[sz(n + free_slack)] == VarStatus::kBasic) {
+          ++free_slack;
+        }
+        c = n + free_slack;
+      }
+      mapped.basic[sz(r)] = c;
+      mapped.status[sz(c)] = VarStatus::kBasic;
+    }
+    // More orphans than rows to take them: the rest leave the basis.
+    for (; next_orphan < orphans.size(); ++next_orphan) {
+      mapped.status[sz(orphans[next_orphan])] = VarStatus::kAtLower;
+    }
+  }
+  lp.basis = std::move(mapped);
+  demands.assign(next.begin(), next.end());
+  blocks = layout.demands;
+  link_rows = layout.link_rows;
+  return identity;
+}
+
 TrafficScheduler::TrafficScheduler(const Topology& topo,
                                    const TunnelCatalog& catalog,
                                    SchedulerConfig cfg)
@@ -223,15 +375,8 @@ std::shared_ptr<const DemandPatterns> TrafficScheduler::demand_patterns(
 }
 
 Model TrafficScheduler::build_schedule_model(
-    std::span<const Demand> demands,
-    std::span<const double> capacity_override) const {
-  return build_schedule_model_impl(demands, capacity_override, nullptr);
-}
-
-Model TrafficScheduler::build_schedule_model_impl(
-    std::span<const Demand> demands,
-    std::span<const double> capacity_override,
-    std::vector<std::pair<int, int>>* layout) const {
+    std::span<const Demand> demands, std::span<const double> capacity_override,
+    ScheduleLayout* layout) const {
   // Scheduling preconditions (Sec 3.3): the override must cover every link,
   // and each demand's target/requests must be well-formed — the LP rows
   // (1), (3), (4) silently produce garbage otherwise.
@@ -258,10 +403,20 @@ Model TrafficScheduler::build_schedule_model_impl(
     int tunnel_count = 0;
   };
   std::vector<std::vector<PairVars>> gvars(demands.size());
-  if (layout) layout->clear();
+  if (layout) {
+    layout->pairs.clear();
+    layout->demands.assign(demands.size(), DemandBlocks{});
+    layout->link_rows.assign(static_cast<std::size_t>(topo_->link_count()), -1);
+  }
 
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
+    if (layout) {
+      DemandBlocks& b = layout->demands[i];
+      b.g_first = model.variable_count();
+      b.cover_first = model.constraint_count();
+      b.cover_count = static_cast<int>(d.pairs.size());
+    }
     gvars[i].resize(d.pairs.size());
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const PairDemand& pd = d.pairs[p];
@@ -291,14 +446,24 @@ Model TrafficScheduler::build_schedule_model_impl(
       for (int t = 0; t < tn; ++t) row.push_back({gvars[i][p].first_var + t, 1.0});
       model.add_constraint(std::move(row), Relation::kGreaterEqual, 1.0);
       if (layout) {
-        layout->push_back({gvars[i][p].first_var, gvars[i][p].tunnel_count});
+        layout->pairs.push_back(
+            {gvars[i][p].first_var, gvars[i][p].tunnel_count});
       }
+    }
+    if (layout) {
+      DemandBlocks& b = layout->demands[i];
+      b.g_count = model.variable_count() - b.g_first;
     }
   }
 
   // Availability structure per demand: B variables over patterns.
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
+    if (layout) {
+      DemandBlocks& b = layout->demands[i];
+      b.b_first = model.variable_count();
+      b.avail_first = model.constraint_count();
+    }
     if (d.availability_target <= 0.0) continue;  // best-effort (Table 1 N/A)
 
     const auto dp = demand_patterns(d);
@@ -336,6 +501,11 @@ Model TrafficScheduler::build_schedule_model_impl(
     model.add_constraint(
         std::move(avail_row), Relation::kGreaterEqual,
         d.availability_target * availability_row_scale(d.availability_target));
+    if (layout) {
+      DemandBlocks& b = layout->demands[i];
+      b.b_count = model.variable_count() - b.b_first;
+      b.avail_count = model.constraint_count() - b.avail_first;
+    }
   }
 
   // (6): link capacity, rows normalized by capacity for conditioning.
@@ -362,6 +532,10 @@ Model TrafficScheduler::build_schedule_model_impl(
         cap = capacity_override[static_cast<std::size_t>(e)];
       }
       for (Term& term : row) term.coef /= std::max(cap, 1e-9);
+      if (layout) {
+        layout->link_rows[static_cast<std::size_t>(e)] =
+            model.constraint_count();
+      }
       model.add_constraint(std::move(row), Relation::kLessEqual,
                            cap <= 0.0 ? 0.0 : 1.0);
     }
@@ -374,10 +548,15 @@ ScheduleResult TrafficScheduler::schedule(
     ScheduleBasisCache* basis) const {
   BATE_TRACE_SPAN("scheduler.schedule");
   const std::int64_t round_t0 = obs::now_us();
-  std::vector<std::pair<int, int>> layout;
+  ScheduleLayout layout;
+  std::vector<DemandIdentity> identity;
+  // The basis map runs inside the build span: it is part of making this
+  // round's model, and the hard-repair share is timed as what is left.
   const Model model = [&] {
     BATE_TRACE_SPAN("scheduler.build_model");
-    return build_schedule_model_impl(demands, capacity_override, &layout);
+    Model built = build_schedule_model(demands, capacity_override, &layout);
+    if (basis != nullptr) identity = basis->map_onto(demands, layout, built);
+    return built;
   }();
   const Solution sol =
       solve_lp(model, cfg_.lp, basis != nullptr ? &basis->lp : nullptr);
@@ -385,7 +564,7 @@ ScheduleResult TrafficScheduler::schedule(
   // per-(demand, pattern) credit B — the number of availability scenarios
   // the LP priced this round.
   long tunnel_vars = 0;
-  for (const auto& [first_var, tunnel_count] : layout) {
+  for (const auto& [first_var, tunnel_count] : layout.pairs) {
     tunnel_vars += tunnel_count;
   }
   record_schedule_round(model, static_cast<long>(demands.size()),
@@ -396,7 +575,10 @@ ScheduleResult TrafficScheduler::schedule(
   ScheduleResult result;
   result.status = sol.status;
   result.feasible = sol.optimal();
-  if (!result.feasible) return result;
+  if (!result.feasible) {
+    if (basis != nullptr) basis->repairs.clear();  // nothing repaired
+    return result;
+  }
 
   result.alloc.resize(demands.size());
   std::size_t flat = 0;
@@ -404,7 +586,7 @@ ScheduleResult TrafficScheduler::schedule(
     const Demand& d = demands[i];
     result.alloc[i].resize(d.pairs.size());
     for (std::size_t p = 0; p < d.pairs.size(); ++p, ++flat) {
-      const auto [first_var, tunnel_count] = layout[flat];
+      const auto [first_var, tunnel_count] = layout.pairs[flat];
       auto& out = result.alloc[i][p];
       out.resize(static_cast<std::size_t>(tunnel_count));
       double pair_total = 0.0;
@@ -423,7 +605,10 @@ ScheduleResult TrafficScheduler::schedule(
     }
   }
 
-  if (cfg_.hard_repair) repair_hard_availability(demands, result, capacity_override);
+  if (cfg_.hard_repair) {
+    repair_hard_availability(demands, result, capacity_override, basis,
+                             identity);
+  }
 
   for (const Allocation& a : result.alloc) {
     for (const auto& per_pair : a) {
@@ -465,7 +650,11 @@ double TrafficScheduler::pattern_hard_availability(
 
 void TrafficScheduler::repair_hard_availability(
     std::span<const Demand> demands, ScheduleResult& result,
-    std::span<const double> capacity_override) const {
+    std::span<const double> capacity_override, ScheduleBasisCache* cache,
+    std::span<const DemandIdentity> identity) const {
+  // This round's repairs, which replace the cache's: a demand not repaired
+  // this round drops out.
+  std::unordered_map<DemandId, RepairMemo> memo;
   // Residual capacity under the whole LP allocation.
   auto usage = link_usage(*topo_, *catalog_, demands, result.alloc);
   auto cap_of = [&](LinkId e) {
@@ -525,8 +714,43 @@ void TrafficScheduler::repair_hard_availability(
       if (best_possible + 1e-9 < d.availability_target) continue;
     }
 
-    // Residual excluding this demand's own allocation.
+    // Residual excluding this demand's own allocation, per (pair, link of
+    // the pair's tunnels) in the order the MILP's capacity rows take it.
     apply_usage(d, result.alloc[i], -1.0);
+    std::vector<double> residual;
+    for (const PairDemand& pd : d.pairs) {
+      for (LinkId e : tunnel_link_union(catalog_->tunnels(pd.pair))) {
+        residual.push_back(
+            std::max(0.0, cap_of(e) - usage[static_cast<std::size_t>(e)]));
+      }
+    }
+    // The MILP reads only the demand and `residual`, and the pass keeps
+    // the LP allocation when the MILP fails, so equal bits in all three
+    // give last round's result exactly.
+    const bool remember =
+        cache != nullptr && identity[i] != DemandIdentity::kRepeated;
+    if (remember && identity[i] == DemandIdentity::kKept) {
+      const auto it = cache->repairs.find(d.id);
+      if (it != cache->repairs.end() &&
+          same_bits(it->second.lp, result.alloc[i]) &&
+          same_bits(it->second.residual, residual)) {
+        if (obs::enabled()) {
+          static obs::Counter& reused = obs::Registry::global().counter(
+              "bate_scheduler_repairs_reused_total");
+          reused.inc();
+        }
+        RepairMemo& entry = memo[d.id];
+        entry = std::move(it->second);
+        result.alloc[i] = entry.repaired;
+        apply_usage(d, result.alloc[i], 1.0);
+        continue;
+      }
+    }
+    RepairMemo* entry = nullptr;
+    if (remember) {
+      entry = &memo[d.id];
+      entry->lp = result.alloc[i];
+    }
 
     // Tiny per-demand hard MILP: q_S binary per pattern.
     Model model;
@@ -571,6 +795,7 @@ void TrafficScheduler::repair_hard_availability(
         std::move(avail_row), Relation::kGreaterEqual,
         d.availability_target * availability_row_scale(d.availability_target));
     // Residual capacity over the links this demand's tunnels touch.
+    std::size_t next_resid = 0;
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog_->tunnels(d.pairs[p].pair);
       for (LinkId e : tunnel_link_union(tunnels)) {
@@ -580,9 +805,8 @@ void TrafficScheduler::repair_hard_availability(
             row.push_back({gv[p].first + static_cast<int>(t), d.pairs[p].mbps});
           }
         }
-        const double resid =
-            std::max(0.0, cap_of(e) - usage[static_cast<std::size_t>(e)]);
-        model.add_constraint(std::move(row), Relation::kLessEqual, resid);
+        model.add_constraint(std::move(row), Relation::kLessEqual,
+                             residual[next_resid++]);
       }
     }
 
@@ -604,8 +828,13 @@ void TrafficScheduler::repair_hard_availability(
       }
       result.alloc[i] = std::move(repaired);
     }
+    if (entry != nullptr) {
+      entry->residual = std::move(residual);
+      entry->repaired = result.alloc[i];
+    }
     apply_usage(d, result.alloc[i], 1.0);
   }
+  if (cache != nullptr) cache->repairs = std::move(memo);
 }
 
 double TrafficScheduler::achieved_availability(const Demand& demand,

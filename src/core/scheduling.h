@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "routing/tunnels.h"
@@ -65,17 +66,83 @@ struct DemandPatterns {
   std::vector<std::pair<int, int>> ranges;
 };
 
-/// Caller-owned basis cache for chained schedule() calls: the periodic
-/// re-solve over a slowly changing admitted set re-solves a near-identical
-/// LP, so carrying the previous period's basis skips Phase 1 (and most of
-/// Phase 2) of the next solve. schedule() warm-starts from `lp.basis` when
-/// it is compatible with the new model (stale shapes fall back to the cold
-/// path — results are identical either way) and writes the final basis
-/// back. Not thread-safe: one cache per call chain, never shared across
-/// threads (schedule() itself stays const and thread-safe when called
-/// without a cache).
+/// Where one demand's columns and rows sit in a schedule model. The model
+/// lays every demand's g columns and cover rows (1) out first, then every
+/// demand's B columns with its rows (3) and (4), then one capacity row (6)
+/// per used link. A demand's block sizes depend only on the demand itself,
+/// so while it stays admitted unchanged one offset per block maps it from
+/// one round's model to the next.
+struct DemandBlocks {
+  int g_first = 0;  // g columns, pair-major then tunnel
+  int g_count = 0;
+  int cover_first = 0;  // one row (1) per pair
+  int cover_count = 0;
+  int b_first = 0;  // one B column per positive-probability pattern
+  int b_count = 0;
+  int avail_first = 0;  // rows (3) per (pattern, pair), then row (4)
+  int avail_count = 0;
+};
+
+/// The layout build_schedule_model() reports beside the model.
+struct ScheduleLayout {
+  /// (first g column, tunnel count) per (demand, pair), flattened pair-major
+  /// in demand order.
+  std::vector<std::pair<int, int>> pairs;
+  /// Index-aligned with the demand set.
+  std::vector<DemandBlocks> demands;
+  /// Capacity row per LinkId; -1 for a link no tunnel of the set uses.
+  std::vector<int> link_rows;
+};
+
+/// How a demand of this round relates to the previous round's set.
+enum class DemandIdentity : unsigned char {
+  kRepeated,  // its id appears more than once in this round's set
+  kNew,       // unique id, but absent, repeated or different last round
+  kKept,      // unique id both rounds and the same Demand: its blocks map
+};
+
+/// One demand's last hard-repair pass: the inputs its repair MILP saw and
+/// the allocation the pass produced.
+struct RepairMemo {
+  Allocation lp;                  // the LP allocation the pass started from
+  std::vector<double> residual;   // per (pair, link of its tunnels), in order
+  Allocation repaired;
+};
+
+/// Caller-owned state chained across schedule() calls over a changing
+/// admitted set (AdmissionController keeps one). Each round restarts the LP
+/// from the previous round's final basis, translated onto the new model by
+/// demand identity: admits add blocks, withdraws drop them, and every other
+/// demand's columns and rows, and every capacity row, keep their basis
+/// status. A demand's hard-repair result is reused when its repair inputs
+/// are bit-identical to its previous round's, so reuse changes no bit. The
+/// LP can land on another optimal vertex when it has ties, so what matches
+/// a cold solve is the objective (DESIGN.md Sec 5.1). Not thread-safe: one
+/// cache per call chain (schedule() itself stays const and thread-safe
+/// when called without a cache).
 struct ScheduleBasisCache {
+  /// The last round's final basis, in and out of solve_lp.
   WarmStart lp;
+  /// The demand set lp.basis was built for and where its blocks sat.
+  std::vector<Demand> demands;
+  std::vector<DemandBlocks> blocks;
+  std::vector<int> link_rows;
+  /// The last round's repair passes, by demand id; repeated ids are left
+  /// out.
+  std::unordered_map<DemandId, RepairMemo> repairs;
+
+  /// Translates lp.basis onto `model`, the model of `next` laid out as
+  /// `layout`, then makes `next` the cache's identity. Every basic column
+  /// whose demand was kept (or a capacity row's slack whose link still has
+  /// a row) lands at the new index of the row position it held; a row that
+  /// lost its basic column takes a surviving basic column whose row
+  /// departed, failing that an unused slack; new rows start on their own
+  /// slack, new columns nonbasic at their lower bound. When no structural
+  /// column maps, lp.basis is left empty and the solve runs cold. Returns
+  /// each demand's identity, index-aligned with `next`.
+  std::vector<DemandIdentity> map_onto(std::span<const Demand> next,
+                                       const ScheduleLayout& layout,
+                                       const Model& model);
 };
 
 struct ScheduleResult {
@@ -95,9 +162,9 @@ class TrafficScheduler {
 
   /// Solves the scheduling LP for the given demand set against the full
   /// link capacities (or `capacity_override` when non-empty; indexed by
-  /// LinkId). `basis`, when non-null, warm-starts the LP from the previous
-  /// call's basis and receives this call's basis back (see
-  /// ScheduleBasisCache).
+  /// LinkId). `basis`, when non-null, restarts the LP from the previous
+  /// call's basis, reuses unchanged repairs, and receives this call's basis
+  /// and repairs back (see ScheduleBasisCache).
   ScheduleResult schedule(std::span<const Demand> demands,
                           std::span<const double> capacity_override = {},
                           ScheduleBasisCache* basis = nullptr) const;
@@ -133,10 +200,11 @@ class TrafficScheduler {
   /// Builds the scheduling LP (rows 1, 3, 4, 6) for the demand set without
   /// solving it. This is exactly the model schedule() solves; exposed so the
   /// solver microbench (bench/bench_solver.cpp) can time solve_lp on real
-  /// instances.
-  Model build_schedule_model(
-      std::span<const Demand> demands,
-      std::span<const double> capacity_override = {}) const;
+  /// instances. `layout`, when non-null, receives where each demand's
+  /// blocks and each capacity row sit.
+  Model build_schedule_model(std::span<const Demand> demands,
+                             std::span<const double> capacity_override = {},
+                             ScheduleLayout* layout = nullptr) const;
 
   const Topology& topology() const { return *topo_; }
   const TunnelCatalog& catalog() const { return *catalog_; }
@@ -149,16 +217,13 @@ class TrafficScheduler {
                                           const Allocation& alloc);
 
  private:
-  /// Model build plus the g-variable layout: (first_var, tunnel_count) per
-  /// (demand, pair position), flattened pair-major in demand order.
-  Model build_schedule_model_impl(
-      std::span<const Demand> demands,
-      std::span<const double> capacity_override,
-      std::vector<std::pair<int, int>>* layout) const;
+  /// `cache`, when non-null, supplies last round's repairs for kKept
+  /// demands and receives this round's.
   void repair_hard_availability(std::span<const Demand> demands,
                                 ScheduleResult& result,
-                                std::span<const double> capacity_override)
-      const;
+                                std::span<const double> capacity_override,
+                                ScheduleBasisCache* cache,
+                                std::span<const DemandIdentity> identity) const;
   const Topology* topo_;
   const TunnelCatalog* catalog_;
   SchedulerConfig cfg_;

@@ -50,6 +50,27 @@ void validate_model(const Model& model) {
   }
 }
 
+/// Which path a warm restart took (bate_solver_restart_*_total).
+enum class RestartPath { kPrimal, kDual, kComposite, kFallback };
+
+/// One count per solve that was handed a basis to restart from.
+void record_restart(RestartPath path) {
+  if (!obs::enabled()) return;
+  auto& reg = obs::Registry::global();
+  static obs::Counter& primal = reg.counter("bate_solver_restart_primal_total");
+  static obs::Counter& dual = reg.counter("bate_solver_restart_dual_total");
+  static obs::Counter& composite =
+      reg.counter("bate_solver_restart_composite_total");
+  static obs::Counter& fallback =
+      reg.counter("bate_solver_restart_fallback_total");
+  switch (path) {
+    case RestartPath::kPrimal: primal.inc(); break;
+    case RestartPath::kDual: dual.inc(); break;
+    case RestartPath::kComposite: composite.inc(); break;
+    case RestartPath::kFallback: fallback.inc(); break;
+  }
+}
+
 /// Column-wise sparse matrix of the normalized problem (structural columns
 /// only; slack/artificial columns are unit vectors handled implicitly).
 struct SparseColumns {
@@ -88,6 +109,10 @@ class SimplexEngine {
 
   bool warm_ok() const { return warm_ok_; }
   bool gave_up() const { return gave_up_; }
+  /// The path run_warm() took; kFallback once the composite phase gave up.
+  RestartPath restart_path() const {
+    return gave_up_ ? RestartPath::kFallback : restart_path_;
+  }
 
   Solution run() {
     // Phase 1: minimize total artificial infeasibility if any artificials
@@ -129,8 +154,10 @@ class SimplexEngine {
   /// infeasibility argument does not depend on cached reduced costs.
   Solution run_warm() {
     set_phase2_objective();
+    restart_path_ = RestartPath::kPrimal;
     if (primal_feasible()) return finish(iterate());
     if (dual_feasible()) {
+      restart_path_ = RestartPath::kDual;
       switch (dual_iterate()) {
         case DualResult::kPrimalFeasible:
           return finish(iterate());
@@ -140,6 +167,7 @@ class SimplexEngine {
           break;  // fall through to the composite repair
       }
     }
+    restart_path_ = RestartPath::kComposite;
     return run_warm_composite();
   }
 
@@ -1112,6 +1140,7 @@ class SimplexEngine {
   long pricing_resets_ = 0;
   bool warm_ok_ = false;
   bool gave_up_ = false;
+  RestartPath restart_path_ = RestartPath::kFallback;
 };
 
 /// The simplex proper, after presolve (or directly when presolve is off).
@@ -1148,11 +1177,14 @@ Solution solve_lp_core(const Model& model, const SimplexOptions& options,
     SimplexEngine engine(model, options, warm->basis);
     if (engine.warm_ok()) {
       Solution sol = engine.run_warm();
+      record_restart(engine.restart_path());
       if (!engine.gave_up()) {
         warm->used = true;
         warm->basis = engine.export_basis();
         return sol;
       }
+    } else {
+      record_restart(RestartPath::kFallback);
     }
     // Malformed basis content or a diverged composite phase: solve cold.
   }

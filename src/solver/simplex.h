@@ -60,8 +60,10 @@ enum class VarStatus : unsigned char { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 ///
 /// A basis is *stale* for a model when the shape differs
 /// (structural_count/constraint_count mismatch); stale bases are ignored and
-/// the solve falls back to the cold path. See DESIGN.md "Solver
-/// performance" for the full warm-start contract.
+/// the solve falls back to the cold path. A caller whose model changes shape
+/// translates the basis by identity first (the scheduling round does, see
+/// ScheduleBasisCache). See DESIGN.md "Solver performance" for the full
+/// warm-start contract.
 struct Basis {
   int structural_count = 0;
   int constraint_count = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -19,6 +20,7 @@ struct BrokerMetrics {
   obs::Counter& backup_updates;
   obs::Counter& link_reports;
   obs::Counter& dropped_reports;
+  obs::Counter& decode_errors;
 
   static BrokerMetrics& get() {
     auto& reg = obs::Registry::global();
@@ -29,6 +31,7 @@ struct BrokerMetrics {
         reg.counter("bate_broker_backup_updates_total"),
         reg.counter("bate_broker_link_reports_total"),
         reg.counter("bate_broker_dropped_reports_total"),
+        reg.counter("bate_broker_decode_errors_total"),
     };
     return m;
   }
@@ -99,29 +102,41 @@ void Broker::receive_loop() {
     }
     if (n <= 0) break;  // peer closed or socket shut down
     if (obs::enabled()) BrokerMetrics::get().bytes_in.inc(n);
-    reader.feed({buf.data(), static_cast<std::size_t>(n)});
-    while (auto frame = reader.next_frame()) {
-      if (obs::enabled()) BrokerMetrics::get().frames_in.inc();
-      Message msg;
-      try {
-        msg = decode_message(frame->payload);
-      } catch (const std::exception& e) {
-        BATE_LOG_EVERY_N(kWarn, "broker", 1024) << "bad message: " << e.what();
-        continue;
-      }
-      if (const auto* update = std::get_if<AllocationUpdateMsg>(&msg)) {
-        if (obs::enabled()) {
-          auto& m = BrokerMetrics::get();
-          m.updates.inc();
-          if (update->backup) m.backup_updates.inc();
+    try {
+      reader.feed({buf.data(), static_cast<std::size_t>(n)});
+      while (auto frame = reader.next_frame()) {
+        if (obs::enabled()) BrokerMetrics::get().frames_in.inc();
+        Message msg;
+        try {
+          msg = decode_message(frame->payload);
+        } catch (const std::exception& e) {
+          if (obs::enabled()) BrokerMetrics::get().decode_errors.inc();
+          BATE_LOG_EVERY_N(kWarn, "broker", 1024)
+              << "bad message: " << e.what();
+          continue;
         }
-        // Adopt the frame's trace context (the controller.broadcast span)
-        // so the apply span joins the demand's cross-process trace.
-        obs::ScopedTraceContext adopt(obs::SpanContext{
-            frame->context.trace_id, frame->context.span_id});
-        BATE_TRACE_SPAN("broker.apply");
-        apply_update(*update);
+        if (const auto* update = std::get_if<AllocationUpdateMsg>(&msg)) {
+          if (obs::enabled()) {
+            auto& m = BrokerMetrics::get();
+            m.updates.inc();
+            if (update->backup) m.backup_updates.inc();
+          }
+          // Adopt the frame's trace context (the controller.broadcast span)
+          // so the apply span joins the demand's cross-process trace.
+          obs::ScopedTraceContext adopt(obs::SpanContext{
+              frame->context.trace_id, frame->context.span_id});
+          BATE_TRACE_SPAN("broker.apply");
+          apply_update(*update);
+        }
       }
+    } catch (const std::length_error& e) {
+      // A length word beyond kMaxFrameBytes leaves no frame boundary to
+      // resume at: the stream is unusable, so the loop ends (stop() still
+      // joins it).
+      if (obs::enabled()) BrokerMetrics::get().decode_errors.inc();
+      BATE_LOG_EVERY_N(kWarn, "broker", 1024)
+          << "dropping controller stream: " << e.what();
+      break;
     }
   }
 }

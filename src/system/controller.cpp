@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -141,33 +142,42 @@ void Controller::on_peer_readable(int fd) {
 
   std::array<std::uint8_t, 4096> buf{};
   bool closed = false;
-  while (true) {
-    long n = 0;
-    try {
-      n = peer.socket.read_some(buf);
-    } catch (const std::system_error&) {
-      closed = true;
-      break;
+  try {
+    while (true) {
+      long n = 0;
+      try {
+        n = peer.socket.read_some(buf);
+      } catch (const std::system_error&) {
+        closed = true;
+        break;
+      }
+      if (n == 0) {
+        closed = true;
+        break;
+      }
+      if (n < 0) break;  // would block
+      if (obs::enabled()) ControllerMetrics::get().bytes_in.inc(n);
+      peer.reader.feed({buf.data(), static_cast<std::size_t>(n)});
     }
-    if (n == 0) {
-      closed = true;
-      break;
+    while (auto frame = peer.reader.next_frame()) {
+      if (obs::enabled()) ControllerMetrics::get().frames_in.inc();
+      try {
+        const obs::SpanContext trace{frame->context.trace_id,
+                                     frame->context.span_id};
+        handle_message(peer, decode_message(frame->payload), trace);
+      } catch (const std::exception& e) {
+        if (obs::enabled()) ControllerMetrics::get().decode_errors.inc();
+        BATE_LOG_EVERY_N(kWarn, "controller", 1024)
+            << "bad message: " << e.what();
+      }
     }
-    if (n < 0) break;  // would block
-    if (obs::enabled()) ControllerMetrics::get().bytes_in.inc(n);
-    peer.reader.feed({buf.data(), static_cast<std::size_t>(n)});
-  }
-  while (auto frame = peer.reader.next_frame()) {
-    if (obs::enabled()) ControllerMetrics::get().frames_in.inc();
-    try {
-      const obs::SpanContext trace{frame->context.trace_id,
-                                   frame->context.span_id};
-      handle_message(peer, decode_message(frame->payload), trace);
-    } catch (const std::exception& e) {
-      if (obs::enabled()) ControllerMetrics::get().decode_errors.inc();
-      BATE_LOG_EVERY_N(kWarn, "controller", 1024)
-          << "bad message: " << e.what();
-    }
+  } catch (const std::length_error& e) {
+    // A length word beyond kMaxFrameBytes leaves no frame boundary to
+    // resume at: count it and drop the peer through the close path.
+    if (obs::enabled()) ControllerMetrics::get().decode_errors.inc();
+    BATE_LOG_EVERY_N(kWarn, "controller", 1024)
+        << "dropping peer fd " << fd << ": " << e.what();
+    closed = true;
   }
   if (closed) {
     loop_.remove(fd);

@@ -12,8 +12,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -476,9 +478,50 @@ TEST_F(SystemFixture, SurvivesMalformedPeers) {
     const std::uint8_t noise[] = {0x00, 0x01};
     rogue.write_all(noise);
   }  // rogue disconnects
+  {
+    // A length word beyond kMaxFrameBytes leaves no frame boundary to
+    // resume at: the controller drops the peer (its side reads EOF).
+    Socket rogue = connect_tcp(controller->port());
+    const std::uint8_t oversized[] = {0x00, 0x00, 0x00, 0x40};
+    rogue.write_all(oversized);
+    rogue.set_nonblocking(true);
+    std::array<std::uint8_t, 16> buf{};
+    EXPECT_TRUE(wait_for([&] {
+      try {
+        return rogue.read_some(buf) == 0;
+      } catch (const std::system_error&) {
+        return true;  // reset: dropped as well
+      }
+    }));
+  }
   // Regular service continues.
   UserClient user(controller->port());
   EXPECT_TRUE(user.submit(make_demand(1, 0, 100.0, 0.95)));
+}
+
+TEST(SystemBroker, OversizedFrameEndsTheReceiveLoopNotTheProcess) {
+  // A raw listener plays the controller.
+  TcpListener listener(0);
+  Broker broker(0, listener.port());
+  broker.start();
+  std::optional<Socket> conn = listener.accept();
+  ASSERT_TRUE(conn.has_value());
+  const auto update = [](DemandId id) {
+    return encode_frame(
+        encode_message(AllocationUpdateMsg{id, 0, {10.0, 0.0}, false}));
+  };
+  conn->write_all(update(1));
+  EXPECT_TRUE(wait_for_broker(
+      broker, [&] { return broker.enforced_total(1, 0) > 0.0; }));
+  std::vector<std::uint8_t> bytes = {0x00, 0x00, 0x00, 0x40};
+  const auto after = update(2);
+  bytes.insert(bytes.end(), after.begin(), after.end());
+  conn->write_all(bytes);
+  // Nothing behind the bad length word is applied; stop() still joins.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(broker.enforced_total(2, 0), 0.0);
+  EXPECT_GT(broker.enforced_total(1, 0), 0.0);
+  broker.stop();
 }
 
 TEST_F(SystemFixture, DropsLinkReportsOutsideTheTopology) {

@@ -14,7 +14,9 @@
 #                  workload at --trace 0 and one at --trace 1, the traced
 #                  pass whose stage sums need every event's span path; any
 #                  non-zero exit, including a failed output check, fails
-#                  the leg); bench_solver + bench_milp with a
+#                  the leg; the traced steady_testbed6 run must read
+#                  solver.warm_hit_ratio >= 0.9 and solver.pivots_per_round
+#                  <= 300); bench_solver + bench_milp with a
 #                  tiny rep count; validates the emitted BENCH json against
 #                  the schema (tools/bench_report.h), diffs both against the
 #                  committed baselines (timing for the solver bench; node
@@ -97,8 +99,23 @@ for leg in "${legs[@]}"; do
 for w in json.load(open(sys.argv[1]))["workloads"]:
     print(w["name"])' "$ROOT/BENCHMARK.json"); do
         for trace in 0 1; do
-          python3 perfbench/run.py --workload "$workload" --seconds 25 \
-            --trace "$trace" --seed 9001
+          result=$(python3 perfbench/run.py --workload "$workload" \
+            --seconds 25 --trace "$trace" --seed 9001)
+          printf '%s\n' "$result"
+          if [ "$workload" = steady_testbed6 ] && [ "$trace" = 1 ]; then
+            # Restart gate: each scheduling round after the first restarts
+            # from the previous round's basis, translated by demand
+            # identity (DESIGN.md Sec 5.1). Cold rounds read 0 and about
+            # 611 pivots per round; restarts read 1 and under 200.
+            printf '%s\n' "$result" | tail -n 1 | python3 -c '
+import json, sys
+m = json.loads(sys.stdin.read())["metrics"]
+hit = m["solver.warm_hit_ratio"]["value"]
+pivots = m["solver.pivots_per_round"]["value"]
+print("restart gate: warm_hit_ratio %.3f (>= 0.9), pivots_per_round %.1f (<= 300)"
+      % (hit, pivots))
+sys.exit(0 if hit >= 0.9 and pivots <= 300 else 1)'
+          fi
         done
       done
       banner "bench-smoke (bench_solver + bench_milp --reps 1 + schema validation)"
