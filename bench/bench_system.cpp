@@ -6,11 +6,13 @@
 // The churn case drives the pipeline: N tiny demands (90% best-effort
 // beta=0, 10% beta=0.9) pipelined from 4 tenant clients with a 256-deep
 // window each; the controller drains whole batches per tick with
-// reschedule_after_batch / precompute_backup off (the high-churn
-// configuration, where greedy admissions delta-broadcast and the solve cost
-// stays O(arrival)). Reports sustained admissions/sec and the
-// controller-side p50/p99 reply latency from the obs registry histogram
-// (bate_admission_reply_latency_us).
+// reschedule_after_batch off (the high-churn configuration, where greedy
+// admissions delta-broadcast and the solve cost stays O(arrival); a round
+// per batch grows with the admitted set, ROADMAP item 3). No backup plan is
+// computed ahead in either case: the controller runs Algorithm 2 only when
+// a link report leaves a loaded link down. Reports sustained admissions/sec
+// and the controller-side p50/p99 reply latency from the obs registry
+// histogram (bate_admission_reply_latency_us).
 //
 // A second case exercises the availability-SLO ledger:
 //
@@ -99,7 +101,6 @@ CaseResult run_case(const Topology& topo, const TunnelCatalog& catalog,
   cfg.tick_ms = 1;
   cfg.max_queue = 1 << 15;
   cfg.reschedule_after_batch = false;
-  cfg.precompute_backup = false;
   Controller controller(topo, catalog, SchedulerConfig{},
                         AdmissionStrategy::kBate, cfg);
   controller.start();

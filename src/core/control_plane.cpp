@@ -7,12 +7,11 @@ namespace bate {
 
 ControlPlane::ControlPlane(const TrafficScheduler& scheduler,
                            AdmissionStrategy strategy,
-                           bool reschedule_after_batch, bool precompute_backup,
+                           bool reschedule_after_batch,
                            const BranchBoundOptions& optimal)
     : admission_(scheduler, strategy),
       planner_(scheduler.topology(), scheduler.catalog()),
-      reschedule_after_batch_(reschedule_after_batch),
-      precompute_backup_(precompute_backup) {
+      reschedule_after_batch_(reschedule_after_batch) {
   admission_.set_optimal_options(optimal);
 }
 
@@ -25,9 +24,6 @@ BatchAdmissionOutcome ControlPlane::admit(std::span<const Demand> batch) {
   if (!out.rescheduled && reschedule_after_batch_) {
     admission_.reschedule();
     out.rescheduled = true;
-  }
-  if (precompute_backup_) {
-    planner_.precompute(admission_.admitted(), admission_.allocations());
   }
   return out;
 }
@@ -44,7 +40,6 @@ std::vector<Demand> ControlPlane::withdraw(std::span<const DemandId> ids) {
   }
   if (removed.empty()) return removed;
   admission_.reschedule();
-  planner_.precompute(admission_.admitted(), admission_.allocations());
   return removed;
 }
 

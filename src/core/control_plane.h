@@ -1,11 +1,13 @@
 // The BATE control loop (Sec 3-4) as one transport-free event sequence,
 // run in the live controller's order:
 //  * an admission batch runs admission (Sec 3.2) and, when anything was
-//    admitted, one scheduling round (Sec 3.3) and one backup precompute
-//    (Sec 3.4);
-//  * a withdraw removes the demands and runs one round and one precompute;
-//  * a link report edits the down set.
-// Brokers enforce enforced(). The controller process (system/controller.h),
+//    admitted, one scheduling round (Sec 3.3);
+//  * a withdraw removes the demands and runs one round;
+//  * a link report edits the down set, and the next enforced() runs
+//    Algorithm 2 (Sec 3.4) over it when a down link carries traffic.
+// Brokers enforce enforced(). Unlike the paper's proactive per-link backup
+// plans, nothing is precomputed: a plan for link e would be exactly
+// enforced() with e down. The controller process (system/controller.h),
 // the testbed simulator (sim/engine.h) and tools/bate_plan all drive this
 // class. It opens no trace span: the spans of its steps chain directly
 // under the caller's (controller.batch_admission).
@@ -22,21 +24,19 @@ namespace bate {
 
 class ControlPlane {
  public:
-  /// `reschedule_after_batch` and `precompute_backup` gate the round and
-  /// the precompute after an admission batch (see ControllerConfig);
-  /// `optimal` is the kOptimal strategy's branch-and-bound budget. The
-  /// scheduler must outlive the class.
+  /// `reschedule_after_batch` gates the round after an admission batch
+  /// (see ControllerConfig); `optimal` is the kOptimal strategy's
+  /// branch-and-bound budget. The scheduler must outlive the class.
   ControlPlane(const TrafficScheduler& scheduler, AdmissionStrategy strategy,
                bool reschedule_after_batch = true,
-               bool precompute_backup = true,
                const BranchBoundOptions& optimal = {});
 
   /// AdmissionController::offer_batch, then (when anything was admitted)
-  /// one round unless an admission path already ran one, and one
-  /// precompute. The outcome's `rescheduled` is true when any round ran.
+  /// one round unless an admission path already ran one. The outcome's
+  /// `rescheduled` is true when any round ran.
   BatchAdmissionOutcome admit(std::span<const Demand> batch);
   /// Removes whichever of `ids` are admitted and, when any was, runs one
-  /// round and one precompute. Returns the removed demands.
+  /// round. Returns the removed demands.
   std::vector<Demand> withdraw(std::span<const DemandId> ids);
   /// `up` false adds `link` to the down set; true removes it.
   void link(LinkId link, bool up);
@@ -53,13 +53,11 @@ class ControlPlane {
   }
   /// The links reported down, sorted ascending.
   const std::vector<LinkId>& down() const { return down_; }
-  const BackupPlanner& planner() const { return planner_; }
 
  private:
   AdmissionController admission_;
   BackupPlanner planner_;
   bool reschedule_after_batch_;
-  bool precompute_backup_;
   std::vector<LinkId> down_;
 };
 

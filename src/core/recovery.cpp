@@ -307,17 +307,6 @@ RecoveryResult recover_greedy(const Topology& topo,
 
 namespace {
 
-/// Backup-plan lookup outcome (obs: bate_recovery_*). A hit means a failure
-/// found a precomputed plan; a miss means none covered it.
-void record_plan_lookup(bool hit) {
-  if (!obs::enabled()) return;
-  static obs::Counter& hits =
-      obs::Registry::global().counter("bate_recovery_plan_hits_total");
-  static obs::Counter& misses =
-      obs::Registry::global().counter("bate_recovery_plan_misses_total");
-  (hit ? hits : misses).inc();
-}
-
 void record_precompute(std::size_t plan_count, std::int64_t us) {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::global();
@@ -354,9 +343,7 @@ void BackupPlanner::precompute(std::span<const Demand> demands,
 
 const RecoveryResult* BackupPlanner::plan(LinkId link) const {
   const auto it = plans_.find(link);
-  const RecoveryResult* r = it == plans_.end() ? nullptr : &it->second;
-  record_plan_lookup(r != nullptr);
-  return r;
+  return it == plans_.end() ? nullptr : &it->second;
 }
 
 std::span<const Allocation> BackupPlanner::enforce(
@@ -374,13 +361,6 @@ std::span<const Allocation> BackupPlanner::enforce(
         return usage[static_cast<std::size_t>(e)] > kLoadedMbps;
       })) {
     return primaries;
-  }
-  // Precomputed plans are per link and were computed over demands_, so one
-  // covers `down` only when both match.
-  if (down.size() == 1 && std::ranges::equal(demands, demands_)) {
-    if (const RecoveryResult* r = plan(down.front())) return r->alloc;
-  } else {
-    record_plan_lookup(false);
   }
   computed_ = recover_greedy(*topo_, *catalog_, demands, down);
   return computed_.alloc;

@@ -5,10 +5,11 @@
 // pair of d still receives full bandwidth and (1 - mu_d) g_d otherwise.
 // The exact problem is a MILP (NP-hard by reduction from all-or-nothing
 // multicommodity flow); recover_optimal solves it by branch & bound and
-// recover_greedy implements the 2-approximation of Algorithm 2. Backup
-// allocations are pre-computed per single-link failure (Fig 4) so the
-// controller can react immediately, and BackupPlanner::enforce is the one
-// rule that decides what brokers enforce for any set of down links.
+// recover_greedy implements the 2-approximation of Algorithm 2.
+// BackupPlanner::enforce is the one rule that decides what brokers enforce
+// for any set of down links: the live loop runs Algorithm 2 when a link
+// fails. BackupPlanner::precompute builds the paper's proactive table, one
+// plan per single-link failure (Fig 4).
 #pragma once
 
 #include <map>
@@ -64,13 +65,15 @@ RecoveryResult recover_greedy(const Topology& topo,
                               std::span<const Demand> demands,
                               std::span<const LinkId> failed_links);
 
-/// Pre-computed backup allocations for potential failure scenarios
-/// (Sec 3.4: "BATE proactively computes backup allocation strategies"),
-/// each one Algorithm 2 (recover_greedy) over one loaded link, and the rule
-/// that picks what brokers enforce. The paper notes the scheme "can be
-/// easily extended to deal with concurrent failures" (fn. 6): enforce()
-/// does so by running Algorithm 2 over exactly the down set when no
-/// precomputed plan covers it.
+/// Backup allocations for failure scenarios (Sec 3.4) and the rule that
+/// picks what brokers enforce. enforce() runs Algorithm 2 (recover_greedy)
+/// over exactly the down set, which covers concurrent failures as the paper
+/// notes the scheme "can be easily extended to" (fn. 6). precompute() is the
+/// paper's proactive table ("BATE proactively computes backup allocation
+/// strategies"), one Algorithm 2 plan per loaded link: the Fig 4 bench, the
+/// failure-recovery demo and tools/bate_plan print it. The live loop does
+/// not precompute, since the plan for link e is what enforce() returns for
+/// the down set {e} over the same demands.
 class BackupPlanner {
  public:
   BackupPlanner(const Topology& topo, const TunnelCatalog& catalog)
@@ -91,12 +94,10 @@ class BackupPlanner {
   /// the links `down` are failed; index-aligned with `demands`:
   ///  * `primaries` itself while no down link carries their traffic
   ///    (returned without a scan when `down` is empty);
-  ///  * else the plan precomputed for exactly `down`, when precompute()
-  ///    last saw `demands`;
-  ///  * else Algorithm 2 over exactly `down`, computed on the spot.
-  /// Every rate the last two put on a tunnel crossing a down link is 0.
+  ///  * else Algorithm 2 over exactly `down`, whose rates on tunnels
+  ///    crossing a down link are all 0.
   /// The table views `primaries` or this planner: it is valid while
-  /// `primaries` lives and until the next precompute() or enforce().
+  /// `primaries` lives and until the next enforce().
   std::span<const Allocation> enforce(std::span<const Demand> demands,
                                       std::span<const Allocation> primaries,
                                       std::span<const LinkId> down);
@@ -106,7 +107,7 @@ class BackupPlanner {
   const TunnelCatalog* catalog_;
   std::vector<Demand> demands_;
   std::map<LinkId, RecoveryResult> plans_;
-  /// enforce()'s table for a down set no precomputed plan covers.
+  /// enforce()'s Algorithm 2 table.
   RecoveryResult computed_;
 };
 

@@ -16,13 +16,22 @@ namespace bate {
 
 namespace {
 
-/// One registry flush per scheduling round (obs: bate_scheduler_*).
-/// Warm-start hit/miss reads WarmStart::used, which solve_lp just set.
+/// One registry flush per schedule() call (obs: bate_scheduler_*). A call
+/// chained through a ScheduleBasisCache (`warm` non-null) is a scheduling
+/// round, the controller's; any other call (an admission probe or witness,
+/// a TE scheme's allocation) only counts as a probe, so per-round figures
+/// divide by rounds. Warm-start hit/miss reads WarmStart::used, which
+/// solve_lp just set.
 void record_schedule_round(const Model& model, long demand_count,
                            long scenario_count, const WarmStart* warm,
                            std::int64_t round_us) {
   if (!obs::enabled()) return;
   auto& reg = obs::Registry::global();
+  if (warm == nullptr) {
+    static obs::Counter& probes = reg.counter("bate_scheduler_probes_total");
+    probes.inc();
+    return;
+  }
   static obs::Counter& rounds = reg.counter("bate_scheduler_rounds_total");
   static obs::Counter& warm_hits =
       reg.counter("bate_scheduler_warm_hits_total");
@@ -35,7 +44,7 @@ void record_schedule_round(const Model& model, long demand_count,
   static obs::Gauge& rows = reg.gauge("bate_scheduler_lp_rows");
   static obs::Gauge& cols = reg.gauge("bate_scheduler_lp_cols");
   rounds.inc();
-  if (warm != nullptr) (warm->used ? warm_hits : warm_misses).inc();
+  (warm->used ? warm_hits : warm_misses).inc();
   round_hist.record(round_us);
   demands.set(static_cast<double>(demand_count));
   scenarios.set(static_cast<double>(scenario_count));

@@ -137,8 +137,7 @@ SimMetrics run_testbed_sim(const TrafficScheduler& scheduler,
   if (policy.admission.has_value()) {
     BATE_ASSERT_MSG(&catalog == &scheduler.catalog(),
                     "sim: admission runs on a different tunnel catalog");
-    cp.emplace(scheduler, *policy.admission, true, true,
-               policy.optimal_options);
+    cp.emplace(scheduler, *policy.admission, true, policy.optimal_options);
   }
   const bool bate_allocates =
       dynamic_cast<const BateScheme*>(policy.te) != nullptr;

@@ -41,7 +41,7 @@ namespace bate {
 enum class RescalePolicy {
   kNone,          // failed tunnels simply lose their traffic (BATE-TS)
   kProportional,  // traffic rescales onto surviving tunnels (TEAVAR/FFC...)
-  kBackup,        // pre-computed backup plans are activated (BATE, Sec 3.4)
+  kBackup,        // the ingress offers BackupPlanner::enforce (BATE, Sec 3.4)
 };
 
 struct SimPolicy {

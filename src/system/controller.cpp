@@ -72,8 +72,7 @@ Controller::Controller(const Topology& topo, const TunnelCatalog& catalog,
                        SchedulerConfig scheduler_cfg,
                        AdmissionStrategy admission, ControllerConfig config)
     : scheduler_(topo, catalog, scheduler_cfg),
-      control_(scheduler_, admission, config.reschedule_after_batch,
-               config.precompute_backup),
+      control_(scheduler_, admission, config.reschedule_after_batch),
       config_(config),
       ledger_(obs::SloLedger::Config{kSloMaxTransitions, 1024}) {
   if (config_.tenant_rate_per_sec > 0.0) {

@@ -1,16 +1,17 @@
 // The BATE controller (Sec 4): offline routing (the tunnel catalog it is
-// constructed with), admission control, the online scheduler with backup
-// pre-computation, and the TCP communication channel to brokers and users.
+// constructed with), admission control, the online scheduler, failure
+// recovery, and the TCP communication channel to brokers and users.
 //
 // The controller runs its epoll loop on a dedicated thread. Users connect,
 // submit demands and receive admission replies; brokers connect, introduce
 // themselves with Hello{role="broker"} and then receive allocation updates.
-// Admission, scheduling, backup precompute and the down set live in one
-// ControlPlane (core/control_plane.h), the event sequence the testbed
-// simulator and tools/bate_plan also run. Every event (link down or up,
-// admission batch, withdraw, broker Hello) ends in one publish step:
-// brokers get ControlPlane::enforced(), flagged backup while any link is
-// down.
+// Admission, scheduling and the down set live in one ControlPlane
+// (core/control_plane.h), the event sequence the testbed simulator and
+// tools/bate_plan also run. Every event (link down or up, admission batch,
+// withdraw, broker Hello) ends in one publish step: brokers get
+// ControlPlane::enforced(), flagged backup while any link is down. A link
+// report computes no plan ahead: the publish after it runs Algorithm 2
+// over the down set when a down link carries traffic.
 //
 // Admission pipeline (DESIGN.md Sec 10): SubmitDemand frames are enqueued
 // (bounded, per-tenant token buckets at ingress, overflow shed with
@@ -84,10 +85,6 @@ struct ControllerConfig {
   /// the new rows are delta-broadcast — the high-churn setting, since a
   /// reschedule LP grows with the admitted set (DESIGN.md Sec 10).
   bool reschedule_after_batch = true;
-  /// Recompute backup plans after every batch containing admissions.
-  /// bench_system disables it: precompute cost grows with the admitted set
-  /// and the churn bench measures the admission path, not recovery.
-  bool precompute_backup = true;
   /// Period (ms) of the SLO time-series sampler that records the registry
   /// snapshot into the ring-buffer store; <= 0 disables sampling. The
   /// availability ledger itself is always on — it is the product's answer

@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "core/control_plane.h"
+#include "obs/metrics.h"
 #include "topology/catalog.h"
 
 namespace bate {
 namespace {
+
+std::int64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
 
 Demand make_demand(DemandId id, int pair, double mbps, double beta) {
   Demand d;
@@ -31,30 +37,33 @@ struct ControlPlaneFixture : ::testing::Test {
       make_demand(2, catalog.pair_index({0, 4}), 500.0, 0.95)};
 };
 
-TEST_F(ControlPlaneFixture, AdmitRunsOneRoundAndOnePrecompute) {
+TEST_F(ControlPlaneFixture, AdmitRunsOneRoundAndNoPrecompute) {
   ControlPlane cp(scheduler, AdmissionStrategy::kBate);
+  const std::int64_t rounds0 = counter("bate_scheduler_rounds_total");
+  const std::int64_t plans0 = counter("bate_recovery_precompute_total");
   const BatchAdmissionOutcome out = cp.admit(demands);
   ASSERT_EQ(out.outcomes.size(), 2u);
   EXPECT_TRUE(out.outcomes[0].admitted && out.outcomes[1].admitted);
   EXPECT_TRUE(out.rescheduled);
-  // The round's allocations are the scheduler's over the admitted set, and
-  // the precompute saw exactly that set.
+  EXPECT_EQ(counter("bate_scheduler_rounds_total"), rounds0 + 1);
+  EXPECT_EQ(counter("bate_recovery_precompute_total"), plans0);
+  // The round's allocations are the scheduler's over the admitted set.
   const ScheduleResult r = scheduler.schedule(demands);
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(cp.primaries(), r.alloc);
-  EXPECT_EQ(cp.planner().demands(), cp.admitted());
-  EXPECT_GT(cp.planner().plan_count(), 0u);
 }
 
 TEST_F(ControlPlaneFixture, GatedOffAdmitKeepsGreedyRowsAndNoPlans) {
   ControlPlane cp(scheduler, AdmissionStrategy::kBate,
-                  /*reschedule_after_batch=*/false,
-                  /*precompute_backup=*/false);
+                  /*reschedule_after_batch=*/false);
+  const std::int64_t rounds0 = counter("bate_scheduler_rounds_total");
+  const std::int64_t plans0 = counter("bate_recovery_precompute_total");
   const BatchAdmissionOutcome out = cp.admit(demands);
   EXPECT_FALSE(out.rescheduled);
   EXPECT_EQ(out.first_new_index, 0u);
   EXPECT_EQ(cp.admitted().size(), 2u);
-  EXPECT_EQ(cp.planner().plan_count(), 0u);
+  EXPECT_EQ(counter("bate_scheduler_rounds_total"), rounds0);
+  EXPECT_EQ(counter("bate_recovery_precompute_total"), plans0);
 }
 
 TEST_F(ControlPlaneFixture, WithdrawRemovesOnlyAdmittedIds) {
@@ -71,7 +80,6 @@ TEST_F(ControlPlaneFixture, WithdrawRemovesOnlyAdmittedIds) {
   EXPECT_EQ(removed[0], demands[0]);
   ASSERT_EQ(cp.admitted().size(), 1u);
   EXPECT_EQ(cp.admitted()[0].id, 2);
-  EXPECT_EQ(cp.planner().demands(), cp.admitted());
 }
 
 TEST_F(ControlPlaneFixture, EnforcedIsTheEnforceRuleOverTheDownSet) {
@@ -90,12 +98,9 @@ TEST_F(ControlPlaneFixture, EnforcedIsTheEnforceRuleOverTheDownSet) {
   cp.link(loaded[0], false);
   EXPECT_EQ(cp.down(), (std::vector<LinkId>{loaded[0], loaded[1]}));
 
-  BackupPlanner reference(topo, catalog);
-  const auto expected =
-      reference.enforce(cp.admitted(), cp.primaries(), cp.down());
-  const std::vector<Allocation> want(expected.begin(), expected.end());
   const auto table = cp.enforced();
-  EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()), want);
+  EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
+            recover_greedy(topo, catalog, cp.admitted(), cp.down()).alloc);
 
   cp.link(loaded[1], true);
   cp.link(loaded[0], true);

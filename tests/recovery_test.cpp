@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/pricing.h"
@@ -201,8 +202,7 @@ TEST(BackupPlanner, PrecomputesPlansForLoadedLinks) {
   }
 }
 
-// BackupPlanner::enforce over two scheduled demands on testbed6, with the
-// plans precomputed for exactly that demand set.
+// BackupPlanner::enforce over two scheduled demands on testbed6.
 struct EnforceRule : ::testing::Test {
   Topology topo = testbed6();
   TunnelCatalog catalog = TunnelCatalog::build_all_pairs(topo, 4);
@@ -220,7 +220,6 @@ struct EnforceRule : ::testing::Test {
     const auto r = scheduler.schedule(demands);
     ASSERT_TRUE(r.feasible);
     primaries = r.alloc;
-    planner.precompute(demands, primaries);
     const auto usage = link_usage(topo, catalog, demands, primaries);
     for (LinkId e = 0; e < topo.link_count(); ++e) {
       (usage[static_cast<std::size_t>(e)] > 1e-9 ? loaded : unloaded)
@@ -248,6 +247,21 @@ struct EnforceRule : ::testing::Test {
     }
     return n;
   }
+
+  /// Expects enforce() with `down` down to be Algorithm 2 over exactly
+  /// `down`, with no positive rate across a down link.
+  void expect_algorithm2(std::span<const Demand> ds,
+                         std::span<const Allocation> alloc,
+                         std::span<const LinkId> down) {
+    const std::vector<LinkId> links(down.begin(), down.end());
+    const std::string where = std::to_string(ds.size()) + " demands, links " +
+                              ::testing::PrintToString(links);
+    const auto table = planner.enforce(ds, alloc, down);
+    EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
+              recover_greedy(topo, catalog, ds, down).alloc)
+        << where;
+    EXPECT_EQ(rates_across(table, ds, down), 0) << where;
+  }
 };
 
 TEST_F(EnforceRule, NothingDownEnforcesThePrimaries) {
@@ -268,14 +282,19 @@ TEST_F(EnforceRule, OnlyUnloadedLinksDownEnforceThePrimaries) {
 }
 
 TEST_F(EnforceRule, OneLoadedLinkIsItsPrecomputedPlan) {
+  // enforce() looks no plan up: a planner that never precomputed returns,
+  // for each single loaded link, the Fig 4 plan precompute() makes for it.
+  BackupPlanner fig4(topo, catalog);
+  fig4.precompute(demands, primaries);
   for (const LinkId e : loaded) {
-    const RecoveryResult* plan = planner.plan(e);
+    const RecoveryResult* plan = fig4.plan(e);
     ASSERT_NE(plan, nullptr) << "link " << e;
     const LinkId one[] = {e};
     const auto table = planner.enforce(demands, primaries, one);
-    // The plan's own storage: bit-identical by construction.
-    EXPECT_EQ(table.data(), plan->alloc.data()) << "link " << e;
-    EXPECT_EQ(table.size(), plan->alloc.size());
+    EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
+              plan->alloc)
+        << "link " << e;
+    expect_algorithm2(demands, primaries, one);
   }
 }
 
@@ -283,43 +302,46 @@ TEST_F(EnforceRule, TwoLoadedLinksRunAlgorithm2OverExactlyThePair) {
   for (std::size_t a = 0; a < loaded.size(); ++a) {
     for (std::size_t b = a + 1; b < loaded.size(); ++b) {
       const LinkId two[] = {loaded[a], loaded[b]};
-      const auto table = planner.enforce(demands, primaries, two);
-      const RecoveryResult expected =
-          recover_greedy(topo, catalog, demands, two);
-      EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
-                expected.alloc)
-          << "links " << two[0] << ", " << two[1];
-      EXPECT_EQ(rates_across(table, demands, two), 0)
-          << "links " << two[0] << ", " << two[1];
+      expect_algorithm2(demands, primaries, two);
+    }
+  }
+  // A loaded link down with an unloaded one is planned over both.
+  for (const LinkId e : loaded) {
+    for (const LinkId u : unloaded) {
+      const LinkId two[] = {e, u};
+      expect_algorithm2(demands, primaries, two);
     }
   }
 }
 
 TEST_F(EnforceRule, DemandSetPrecomputeNeverSawIsPlannedOnTheSpot) {
+  // The planner's Fig 4 table holds the two scheduled demands; enforce()
+  // over a grown set with its own primaries ignores it. Every down set of
+  // one or two links with a link the grown set loads.
+  planner.precompute(demands, primaries);
   std::vector<Demand> grown = demands;
   grown.push_back(make_demand(3, catalog.pair_index({1, 3}), 300.0, 300.0,
                               0.1));
   const auto r = scheduler.schedule(grown);
   ASSERT_TRUE(r.feasible);
   const auto usage = link_usage(topo, catalog, grown, r.alloc);
+  const auto is_loaded = [&](LinkId e) {
+    return usage[static_cast<std::size_t>(e)] > 1e-9;
+  };
   int checked = 0;
-  for (const LinkId e : loaded) {
-    if (usage[static_cast<std::size_t>(e)] <= 1e-9) continue;
-    ++checked;
-    const LinkId one[] = {e};
-    const auto table = planner.enforce(grown, r.alloc, one);
-    EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
-              recover_greedy(topo, catalog, grown, one).alloc)
-        << "link " << e;
-    EXPECT_EQ(rates_across(table, grown, one), 0) << "link " << e;
+  for (LinkId a = 0; a < topo.link_count(); ++a) {
+    if (is_loaded(a)) {
+      ++checked;
+      const LinkId one[] = {a};
+      expect_algorithm2(grown, r.alloc, one);
+    }
+    for (LinkId b = a + 1; b < topo.link_count(); ++b) {
+      if (!is_loaded(a) && !is_loaded(b)) continue;
+      const LinkId two[] = {a, b};
+      expect_algorithm2(grown, r.alloc, two);
+    }
   }
   EXPECT_GT(checked, 0);
-  // A planner that never precomputed plans on the spot too.
-  BackupPlanner fresh(topo, catalog);
-  const LinkId one[] = {loaded.front()};
-  const auto table = fresh.enforce(demands, primaries, one);
-  EXPECT_EQ(std::vector<Allocation>(table.begin(), table.end()),
-            recover_greedy(topo, catalog, demands, one).alloc);
 }
 
 }  // namespace

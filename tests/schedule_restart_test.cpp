@@ -227,6 +227,33 @@ TEST_F(RestartFixture, RepairReuseIsBitIdenticalToRepairingAgain) {
       << "no round reused a repair: the check above proved nothing";
 }
 
+TEST_F(RestartFixture, OnlyTheCachedChainCountsAsRounds) {
+  // bate_scheduler_round_us, rounds_total and the LP-size gauges describe
+  // the controller's rounds; any other schedule() call is a probe.
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  obs::Histogram& round_us =
+      obs::Registry::global().histogram("bate_scheduler_round_us");
+  AdmissionController adm(scheduler, AdmissionStrategy::kBate);
+  Churn churn(catalog, 9004, 4, 10.0, 50.0, 60);
+  for (int s = 0; s < 10; ++s) churn.step(adm);
+  ASSERT_FALSE(adm.admitted().empty());
+
+  const std::int64_t rounds0 = counter("bate_scheduler_rounds_total");
+  const std::int64_t probes0 = counter("bate_scheduler_probes_total");
+  const std::int64_t hist0 = round_us.count();
+  ASSERT_TRUE(scheduler.schedule(adm.admitted()).feasible);
+  EXPECT_EQ(counter("bate_scheduler_rounds_total"), rounds0);
+  EXPECT_EQ(counter("bate_scheduler_probes_total"), probes0 + 1);
+  EXPECT_EQ(round_us.count(), hist0);
+
+  ASSERT_TRUE(adm.reschedule());
+  EXPECT_EQ(counter("bate_scheduler_rounds_total"), rounds0 + 1);
+  EXPECT_EQ(counter("bate_scheduler_probes_total"), probes0 + 1);
+  EXPECT_EQ(round_us.count(), hist0 + 1);
+  EXPECT_EQ(obs::Registry::global().gauge("bate_scheduler_demands").value(),
+            static_cast<double>(adm.admitted().size()));
+}
+
 // --- map_onto edge cases ------------------------------------------------
 
 Demand paper_demand(DemandId id, int pair, double mbps, double beta) {

@@ -936,8 +936,10 @@ const ParsedSpan* find_span(const std::vector<ParsedSpan>& spans,
 TEST_F(SystemFixture, TraceSpansChainAcrossAllSixStages) {
   // One SubmitDemand must render as ONE trace across client submit ->
   // controller queue wait -> batch admission -> admission offer ->
-  // scheduling round -> backup precompute -> broadcast -> broker apply,
-  // stitched through the frame-header trace context (DESIGN.md Sec 9.6).
+  // scheduling round -> broadcast -> broker apply, stitched through the
+  // frame-header trace context (DESIGN.md Sec 9.6). No backup plan is
+  // computed ahead: recovery runs only when a link report leaves a loaded
+  // link down.
   obs::Tracer::global().clear();
   Broker broker(1, controller->port());
   broker.start();
@@ -966,7 +968,6 @@ TEST_F(SystemFixture, TraceSpansChainAcrossAllSixStages) {
                            "controller.batch_admission",
                            "admission.offer_batch",
                            "scheduler.schedule",
-                           "recovery.precompute",
                            "controller.broadcast",
                            "broker.apply"};
   ASSERT_TRUE(wait_for([&] {
@@ -984,13 +985,11 @@ TEST_F(SystemFixture, TraceSpansChainAcrossAllSixStages) {
   const ParsedSpan* offer = find_span(spans, "admission.offer_batch", trace_id);
   const ParsedSpan* schedule =
       find_span(spans, "scheduler.schedule", trace_id);
-  const ParsedSpan* precompute =
-      find_span(spans, "recovery.precompute", trace_id);
   const ParsedSpan* broadcast =
       find_span(spans, "controller.broadcast", trace_id);
   const ParsedSpan* apply = find_span(spans, "broker.apply", trace_id);
-  ASSERT_TRUE(queue_wait && batch && offer && schedule && precompute &&
-              broadcast && apply);
+  ASSERT_TRUE(queue_wait && batch && offer && schedule && broadcast && apply);
+  EXPECT_EQ(find_span(spans, "recovery.precompute", trace_id), nullptr);
 
   // Parentage: submit -> queue_wait -> batch_admission -> offer_batch;
   // broadcast hangs off the batch span and the broker's apply span parents
@@ -998,9 +997,6 @@ TEST_F(SystemFixture, TraceSpansChainAcrossAllSixStages) {
   EXPECT_EQ(queue_wait->parent, submit_span);
   EXPECT_EQ(batch->parent, queue_wait->span);
   EXPECT_EQ(offer->parent, batch->span);
-  // The backup precompute after the round is a direct child of the batch
-  // span, as the controller-loop benchmark's stage sums read it.
-  EXPECT_EQ(precompute->parent, batch->span);
   EXPECT_EQ(broadcast->parent, batch->span);
   EXPECT_EQ(apply->parent, broadcast->span);
   // The scheduling round runs inside the batch (directly, or from the

@@ -2,11 +2,12 @@
 //
 // Reads a topology file (topology/io.h format) and a demand file
 // (workload/io.h format), admits the demands as one batch through the
-// controller's event sequence (core/control_plane.h: BATE admission, a
-// scheduling round and the backup precompute), and prints the plan:
-// per-demand tunnel rates, hard availability vs target, and the per-link
-// backup coverage. Exit code 0 when every offered demand was admitted, 2
-// otherwise.
+// controller's event sequence (core/control_plane.h: BATE admission and a
+// scheduling round), and prints the plan: per-demand tunnel rates, hard
+// availability vs target, and the per-link backup coverage, which it
+// precomputes over the admitted set (BackupPlanner::precompute; the live
+// controller plans a failure only when it occurs). Exit code 0 when every
+// offered demand was admitted, 2 otherwise.
 //
 // Usage:
 //   bate_plan <topology-file> <demand-file> [tunnels-per-pair] [max-failures]
@@ -16,6 +17,7 @@
 #include <cstring>
 
 #include "core/control_plane.h"
+#include "core/recovery.h"
 #include "core/scheduling.h"
 #include "topology/catalog.h"
 #include "topology/io.h"
@@ -64,9 +66,11 @@ int plan(const Topology& topo, const std::vector<Demand>& demands,
   }
   std::printf("\n%s", table.to_string("BATE plan").c_str());
 
+  BackupPlanner backup(topo, catalog);
+  backup.precompute(admitted, allocs);
   std::printf("\n%zu backup plans pre-computed (one per loaded link; "
               "concurrent failures are planned when they occur)\n",
-              control.planner().plan_count());
+              backup.plan_count());
   std::printf("%d/%zu demands admitted\n",
               static_cast<int>(demands.size()) - rejected, demands.size());
   return rejected == 0 ? 0 : 2;
