@@ -12,7 +12,10 @@
 // emitted. Every instance is solved once with SimplexOptions::reference_mode
 // (full pricing + refactorization every iteration — the pre-overhaul
 // behaviour) and `reps` times with the default fast path; the two objectives
-// must agree to 1e-6 relative or the bench aborts.
+// must agree to 1e-6 relative or the bench aborts. The restart_* instances
+// carry the previous round's basis, translated by ScheduleBasisCache the way
+// the live scheduling round does; their fast solves restart from it (the
+// reference solve ignores it and runs cold).
 //
 // --trace FILE dumps the spans the bench run recorded as Chrome trace_event
 // JSON (open in chrome://tracing or https://ui.perfetto.dev).
@@ -53,6 +56,8 @@ using namespace bate;
 struct Instance {
   std::string name;
   Model model;
+  /// Non-empty for restart cases: the basis the fast solves restart from.
+  Basis warm;
 };
 
 using bench::quantile;
@@ -64,9 +69,24 @@ std::vector<Demand> seeded_demands(const TunnelCatalog& catalog,
   return bench::seeded_demands(catalog, topo, count, seed, 8.0, 20.0);
 }
 
+/// A restart case: `next`'s scheduling LP with the basis of a round over
+/// `prev`, mapped onto it by demand identity.
+Instance restart_instance(const char* name, const TrafficScheduler& sched,
+                          const std::vector<Demand>& prev,
+                          const std::vector<Demand>& next) {
+  ScheduleBasisCache cache;
+  sched.schedule(prev, {}, &cache);
+  ScheduleLayout layout;
+  Instance inst{name, sched.build_schedule_model(next, {}, &layout), {}};
+  cache.map_onto(next, layout, inst.model);
+  inst.warm = std::move(cache.lp.basis);
+  return inst;
+}
+
 /// The fixed instance set: scheduling LPs on three topologies plus the LP
-/// relaxations of the admission and recovery MILPs. Seeds are pinned so the
-/// numbers are comparable across PRs. Re-laddered for the presolve PR to
+/// relaxations of the admission and recovery MILPs, and two restarts of the
+/// 48-demand testbed6 round (after an arrival and after a withdraw). Seeds
+/// are pinned so the numbers are comparable across commits. The ladder runs
 /// paper-scale snapshots (48-96 concurrent demands at 8 arrivals/min):
 /// sub-millisecond toy instances measured mostly fixed overhead, and the
 /// presolve-vs-not comparison needs the regime the scheduler actually runs
@@ -96,22 +116,34 @@ std::vector<Instance> build_instances() {
     cfg.max_failures = s.y;
     TrafficScheduler sched(s.topo, catalog, cfg);
     const auto demands = seeded_demands(catalog, s.topo, s.demands, s.seed);
-    out.push_back({s.name, sched.build_schedule_model(demands)});
+    out.push_back({s.name, sched.build_schedule_model(demands), {}});
 
     if (std::strcmp(s.name, "sched_testbed6_d48") == 0) {
       // Admission + recovery relaxations ride on the same substrate.
-      out.push_back(
-          {"admission_testbed6_d48", build_admission_model(sched, demands)});
+      out.push_back({"admission_testbed6_d48",
+                     build_admission_model(sched, demands), {}});
       const std::vector<LinkId> failed = {0};
       out.push_back({"recovery_testbed6_d48",
-                     build_recovery_model(s.topo, catalog, demands, failed)});
+                     build_recovery_model(s.topo, catalog, demands, failed),
+                     {}});
+      // The live loop's rounds: the newest demand arrives, or the oldest
+      // leaves, and the LP restarts from the round before.
+      const std::vector<Demand> without_newest(demands.begin(),
+                                               demands.end() - 1);
+      const std::vector<Demand> without_oldest(demands.begin() + 1,
+                                               demands.end());
+      out.push_back(restart_instance("restart_testbed6_d48_arrival", sched,
+                                     without_newest, demands));
+      out.push_back(restart_instance("restart_testbed6_d48_withdraw", sched,
+                                     demands, without_oldest));
     }
     if (std::strcmp(s.name, "sched_b4_d64_y3") == 0) {
-      out.push_back(
-          {"admission_b4_d64_y3", build_admission_model(sched, demands)});
+      out.push_back({"admission_b4_d64_y3",
+                     build_admission_model(sched, demands), {}});
       const std::vector<LinkId> failed = {0, 5};
       out.push_back({"recovery_b4_d64_y3",
-                     build_recovery_model(s.topo, catalog, demands, failed)});
+                     build_recovery_model(s.topo, catalog, demands, failed),
+                     {}});
     }
   }
   return out;
@@ -258,7 +290,7 @@ int main(int argc, char** argv) {
   BenchReport report;
   report.bench = "solver";
 
-  std::printf("%-24s %10s %10s %10s %10s %8s %10s %6s %6s %8s\n", "instance",
+  std::printf("%-30s %10s %10s %10s %10s %8s %10s %6s %6s %8s\n", "instance",
               "ref_ms", "median_ms", "p95_ms", "speedup", "iters", "pivots/s",
               "rows-", "cols-", "vs_nopre");
   for (const Instance& inst : instances) {
@@ -271,15 +303,30 @@ int main(int argc, char** argv) {
     const double ref_ms =
         std::chrono::duration<double, std::milli>(r1 - r0).count();
 
+    // A restart case solves from a fresh copy of its basis every time and
+    // fails the bench if the basis was not taken.
+    const auto solve = [&](const SimplexOptions& opt, double& ms) {
+      WarmStart warm{inst.warm, false};
+      WarmStart* handle = inst.warm.empty() ? nullptr : &warm;
+      const auto t0 = std::chrono::steady_clock::now();
+      const Solution out = solve_lp(inst.model, opt, handle);
+      const auto t1 = std::chrono::steady_clock::now();
+      ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+      if (handle != nullptr && !warm.used) {
+        std::fprintf(stderr, "bench_solver: %s: restart fell back cold\n",
+                     inst.name.c_str());
+        std::exit(1);
+      }
+      return out;
+    };
+
     SimplexOptions fast;
     std::vector<double> times;
     Solution sol;
     for (int r = 0; r < reps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      sol = solve_lp(inst.model, fast);
-      const auto t1 = std::chrono::steady_clock::now();
-      times.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      double ms = 0.0;
+      sol = solve(fast, ms);
+      times.push_back(ms);
     }
 
     // The fast engine with presolve disabled isolates how much of the
@@ -289,11 +336,9 @@ int main(int argc, char** argv) {
     std::vector<double> nopre_times;
     Solution nopre_sol;
     for (int r = 0; r < reps; ++r) {
-      const auto t0 = std::chrono::steady_clock::now();
-      nopre_sol = solve_lp(inst.model, nopre);
-      const auto t1 = std::chrono::steady_clock::now();
-      nopre_times.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      double ms = 0.0;
+      nopre_sol = solve(nopre, ms);
+      nopre_times.push_back(ms);
     }
     if (nopre_sol.status != sol.status) {
       std::fprintf(stderr,
@@ -337,7 +382,7 @@ int main(int argc, char** argv) {
     const double cols_removed_pct =
         cols > 0 ? 100.0 * sol.cols_removed / cols : 0.0;
 
-    std::printf("%-24s %10.3f %10.3f %10.3f %9.1fx %8ld %10.0f %5.1f%% %5.1f%% %7.2fx\n",
+    std::printf("%-30s %10.3f %10.3f %10.3f %9.1fx %8ld %10.0f %5.1f%% %5.1f%% %7.2fx\n",
                 inst.name.c_str(), ref_ms, median_ms, p95_ms, speedup,
                 sol.iterations, pivots_per_sec, rows_removed_pct,
                 cols_removed_pct, speedup_vs_nopre);

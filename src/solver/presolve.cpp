@@ -896,6 +896,8 @@ Solution Postsolve::expand(const Model& original,
   out.iterations = reduced.iterations;
   out.pivots = reduced.pivots;
   out.dual_pivots = reduced.dual_pivots;
+  out.refactorizations = reduced.refactorizations;
+  out.pricing_resets = reduced.pricing_resets;
   out.nodes = reduced.nodes;
   const std::size_t n = static_cast<std::size_t>(orig_vars_);
   const std::size_t m = static_cast<std::size_t>(orig_rows_);

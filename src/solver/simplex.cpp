@@ -71,10 +71,20 @@ void record_restart(RestartPath path) {
   }
 }
 
-/// Column-wise sparse matrix of the normalized problem (structural columns
-/// only; slack/artificial columns are unit vectors handled implicitly).
-struct SparseColumns {
-  std::vector<std::vector<Term>> cols;  // per structural var: (row, coef)
+/// A sparse matrix stored flat, one line after another: line i's terms are
+/// terms[start[i], start[i + 1]). The engine holds the normalized structural
+/// matrix twice, by column (Term.var is the row) and by row (Term.var is the
+/// column); slack/artificial columns are unit vectors handled implicitly.
+struct FlatSparse {
+  std::vector<int> start;
+  std::vector<Term> terms;
+
+  std::span<const Term> line(int i) const {
+    const auto b = static_cast<std::size_t>(start[static_cast<std::size_t>(i)]);
+    const auto e =
+        static_cast<std::size_t>(start[static_cast<std::size_t>(i) + 1]);
+    return {terms.data() + b, e - b};
+  }
 };
 
 /// One PFI factor: pivoting column w into row `row` multiplies B^-1 from the
@@ -290,7 +300,6 @@ class SimplexEngine {
     // [first_artificial_, ncols_) artificials (added lazily below).
     lower_.resize(sz(nstruct_ + m_));
     upper_.resize(sz(nstruct_ + m_));
-    cols_.cols.resize(sz(nstruct_));
 
     const bool maximize = model_.sense() == Sense::kMaximize;
     obj_struct_.resize(sz(nstruct_));
@@ -307,6 +316,24 @@ class SimplexEngine {
       obj_struct_[sz(j)] = maximize ? -v.objective : v.objective;
     }
 
+    // Both stores are sized by counting, then filled in one pass each: a
+    // column's terms in row order, a row's in column order.
+    cols_.start.assign(sz(nstruct_ + 1), 0);
+    rows_.start.assign(sz(m_ + 1), 0);
+    for (int r = 0; r < m_; ++r) {
+      const Constraint& c = model_.constraint(r);
+      rows_.start[sz(r + 1)] =
+          rows_.start[sz(r)] + static_cast<int>(c.terms.size());
+      for (const Term& t : c.terms) ++cols_.start[sz(t.var + 1)];
+    }
+    for (int j = 0; j < nstruct_; ++j) {
+      cols_.start[sz(j + 1)] += cols_.start[sz(j)];
+    }
+    const auto nnz = sz(rows_.start[sz(m_)]);
+    cols_.terms.resize(nnz);
+    rows_.terms.resize(nnz);
+    std::vector<int> cursor(cols_.start.begin(), cols_.start.end() - 1);
+
     // Normalize rows to <= / = by flipping >= rows; attach slack bounds.
     rhs_.resize(sz(m_));
     row_flip_.assign(sz(m_), 1.0);
@@ -317,7 +344,7 @@ class SimplexEngine {
       row_flip_[sz(r)] = flip;
       rhs_[sz(r)] = flip * c.rhs;
       for (const Term& t : c.terms) {
-        cols_.cols[sz(t.var)].push_back({r, flip * t.coef});
+        cols_.terms[sz(cursor[sz(t.var)]++)] = {r, flip * t.coef};
       }
       const int slack = nstruct_ + r;
       lower_[sz(slack)] = 0.0;
@@ -325,13 +352,12 @@ class SimplexEngine {
           (c.relation == Relation::kEqual) ? 0.0 : kInfinity;
     }
 
-    // Row-wise adjacency of the structural columns (term.var is the COLUMN
-    // here), used to form the pivot row alpha = rho^T A sparsely when
-    // updating the cached reduced costs.
-    rows_.resize(sz(m_));
+    // Row-wise adjacency of the structural columns, used to form the pivot
+    // row alpha = rho^T A sparsely when updating the cached reduced costs.
+    cursor.assign(rows_.start.begin(), rows_.start.end() - 1);
     for (int j = 0; j < nstruct_; ++j) {
-      for (const Term& t : cols_.cols[sz(j)]) {
-        rows_[sz(t.var)].push_back({j, t.coef});
+      for (const Term& t : cols_.line(j)) {
+        rows_.terms[sz(cursor[sz(t.var)]++)] = {j, t.coef};
       }
     }
   }
@@ -343,6 +369,9 @@ class SimplexEngine {
     w_.assign(sz(m_), 0.0);
     rho_.assign(sz(m_), 0.0);
     ywork_.assign(sz(m_), 0.0);
+    pivoted_.assign(sz(m_), 0);
+    new_basis_.assign(sz(m_), -1);
+    w_seen_.assign(sz(m_), 0);
   }
 
   void install_cold_basis() {
@@ -356,7 +385,7 @@ class SimplexEngine {
     std::vector<double> activity(sz(m_), 0.0);
     for (int j = 0; j < nstruct_; ++j) {
       if (x_[sz(j)] == 0.0) continue;
-      for (const Term& t : cols_.cols[sz(j)]) {
+      for (const Term& t : cols_.line(j)) {
         activity[sz(t.var)] += t.coef * x_[sz(j)];
       }
     }
@@ -470,7 +499,7 @@ class SimplexEngine {
   /// (slack / artificial) columns are synthesized into the caller's
   /// one-element buffer — no per-column vector copies on the hot path.
   std::span<const Term> column(int col, Term& unit) const {
-    if (col < nstruct_) return cols_.cols[sz(col)];
+    if (col < nstruct_) return cols_.line(col);
     if (col < nstruct_ + m_) {
       unit = {col - nstruct_, 1.0};
     } else {
@@ -519,24 +548,61 @@ class SimplexEngine {
     etas_.push_back({row, inv, begin, static_cast<int>(eta_terms_.size())});
   }
 
+  /// Marks row i as touched in the reinversion workspace w_.
+  void touch_w(int i) {
+    if (w_seen_[sz(i)]) return;
+    w_seen_[sz(i)] = 1;
+    w_touched_.push_back(i);
+  }
+
+  /// FTRAN of the column loaded into w_ at the touched rows: the same
+  /// operations on the same entries as ftran(), skipping only the exact
+  /// zeros, so every nonzero it leaves is bit-identical to ftran()'s. Rows
+  /// an eta fills in join the touched set.
+  void ftran_touched() {
+    for (const int i : w_touched_) w_[sz(i)] *= base_diag_[sz(i)];
+    for (const EtaHeader& e : etas_) {
+      const double vr = w_[sz(e.row)];
+      if (vr == 0.0) continue;
+      w_[sz(e.row)] = e.pivot * vr;
+      for (int k = e.begin; k < e.end; ++k) {
+        const Term& t = eta_terms_[sz(k)];
+        touch_w(t.var);
+        w_[sz(t.var)] += t.coef * vr;
+      }
+    }
+  }
+
+  /// Zeroes w_ at the touched rows, leaving the workspace clean.
+  void clear_touched() {
+    for (const int i : w_touched_) {
+      w_[sz(i)] = 0.0;
+      w_seen_[sz(i)] = 0;
+    }
+    w_touched_.clear();
+  }
+
   /// Rebuilds the eta file from the current basis columns (reinversion),
   /// then refreshes basic values and reduced costs. Unit basis columns fold
-  /// into the diagonal base; structural columns pivot greedily on the
-  /// largest available magnitude. A numerically dependent structural column
-  /// (|pivot| below tolerance — drift, not a property of a valid basis) is
-  /// evicted and its row handed back to the slack.
+  /// into the diagonal base; structural columns, in basis-row order, pivot
+  /// greedily on the largest available magnitude (the lowest row on a tie).
+  /// A numerically dependent structural column (|pivot| below tolerance —
+  /// drift, not a property of a valid basis) is evicted and its row handed
+  /// back to the slack. Each column is worked on its nonzeros only; the
+  /// pivot choice and the eta terms come from its touched rows in ascending
+  /// order, so the file is the one a dense pass over all rows would build.
   void refactorize() {
     ++refactorizations_;
     etas_.clear();
     eta_terms_.clear();
-    base_diag_.assign(sz(m_), 1.0);
-    std::vector<char> pivoted(sz(m_), 0);
-    std::vector<int> new_basis(sz(m_), -1);
-    std::vector<int> structural;
+    std::fill(base_diag_.begin(), base_diag_.end(), 1.0);
+    std::fill(pivoted_.begin(), pivoted_.end(), 0);
+    std::fill(new_basis_.begin(), new_basis_.end(), -1);
+    structural_.clear();
     for (int r = 0; r < m_; ++r) {
       const int b = basis_[sz(r)];
       if (b < nstruct_) {
-        structural.push_back(b);
+        structural_.push_back(b);
         continue;
       }
       int row = b - nstruct_;
@@ -545,26 +611,33 @@ class SimplexEngine {
         row = art_row_[sz(b)];
         coef = art_sign_[sz(b - first_artificial_)];
       }
-      BATE_ASSERT_MSG(!pivoted[sz(row)],
+      BATE_ASSERT_MSG(!pivoted_[sz(row)],
                       "simplex: duplicate unit column in basis");
       base_diag_[sz(row)] = 1.0 / coef;
-      pivoted[sz(row)] = 1;
-      new_basis[sz(row)] = b;
+      pivoted_[sz(row)] = 1;
+      new_basis_[sz(row)] = b;
     }
-    for (const int c : structural) {
-      std::fill(w_.begin(), w_.end(), 0.0);
-      for (const Term& t : cols_.cols[sz(c)]) w_[sz(t.var)] = t.coef;
-      ftran(w_);
+    // The pivots leave w_ dense; the loop below keeps it zero between
+    // columns.
+    std::fill(w_.begin(), w_.end(), 0.0);
+    for (const int c : structural_) {
+      for (const Term& t : cols_.line(c)) {
+        touch_w(t.var);
+        w_[sz(t.var)] = t.coef;
+      }
+      ftran_touched();
+      std::sort(w_touched_.begin(), w_touched_.end());
       int best_row = -1;
       double best = 1e-10;
-      for (int r = 0; r < m_; ++r) {
-        if (pivoted[sz(r)]) continue;
+      for (const int r : w_touched_) {
+        if (pivoted_[sz(r)]) continue;
         if (std::abs(w_[sz(r)]) > best) {
           best = std::abs(w_[sz(r)]);
           best_row = r;
         }
       }
       if (best_row < 0) {
+        clear_touched();
         // Evict: pin to the nearest bound; the slack takes its row below.
         in_basis_[sz(c)] = 0;
         const double lo = lower_[sz(c)];
@@ -575,17 +648,26 @@ class SimplexEngine {
         at_upper_[sz(c)] = to_upper ? 1 : 0;
         continue;
       }
-      append_eta(best_row, w_);
-      pivoted[sz(best_row)] = 1;
-      new_basis[sz(best_row)] = c;
+      // append_eta() over the touched rows.
+      const double inv = 1.0 / w_[sz(best_row)];
+      const int begin = static_cast<int>(eta_terms_.size());
+      for (const int i : w_touched_) {
+        if (i == best_row || w_[sz(i)] == 0.0) continue;
+        eta_terms_.push_back({i, -w_[sz(i)] * inv});
+      }
+      etas_.push_back(
+          {best_row, inv, begin, static_cast<int>(eta_terms_.size())});
+      clear_touched();
+      pivoted_[sz(best_row)] = 1;
+      new_basis_[sz(best_row)] = c;
     }
     for (int r = 0; r < m_; ++r) {
-      if (pivoted[sz(r)]) continue;
+      if (pivoted_[sz(r)]) continue;
       const int slack = nstruct_ + r;
-      new_basis[sz(r)] = slack;
+      new_basis_[sz(r)] = slack;
       in_basis_[sz(slack)] = 1;
     }
-    basis_ = new_basis;
+    basis_.swap(new_basis_);
     pivots_since_refactor_ = 0;
     recompute_basics();
     recompute_reduced_costs();
@@ -643,7 +725,7 @@ class SimplexEngine {
     for (int i = 0; i < m_; ++i) {
       const double rv = rho_[sz(i)];
       if (rv == 0.0) continue;
-      for (const Term& t : rows_[sz(i)]) touch(t.var, rv * t.coef);
+      for (const Term& t : rows_.line(i)) touch(t.var, rv * t.coef);
       touch(nstruct_ + i, rv);  // slack column e_i
     }
     for (int a = first_artificial_; a < ncols_; ++a) {
@@ -852,7 +934,7 @@ class SimplexEngine {
       for (int i = 0; i < m_; ++i) {
         const double rv = rho_[sz(i)];
         if (rv == 0.0) continue;
-        for (const Term& t : rows_[sz(i)]) touch(t.var, rv * t.coef);
+        for (const Term& t : rows_.line(i)) touch(t.var, rv * t.coef);
         touch(nstruct_ + i, rv);  // slack column e_i
       }
 
@@ -1105,8 +1187,8 @@ class SimplexEngine {
   int ncols_ = 0;    // total columns
   int first_artificial_ = 0;
 
-  SparseColumns cols_;
-  std::vector<std::vector<Term>> rows_;  // row-wise structural adjacency
+  FlatSparse cols_;  // by column: (row, coef)
+  FlatSparse rows_;  // by row: (column, coef)
   std::vector<double> obj_struct_;  // minimization-sense structural costs
   std::vector<double> rhs_;
   std::vector<double> row_flip_;
@@ -1132,6 +1214,14 @@ class SimplexEngine {
   int price_cursor_ = 0;
 
   std::vector<double> w_, rho_, ywork_;
+
+  // Reinversion workspace: the rows each column's w_ touched, and the rows
+  // and basic columns settled so far.
+  std::vector<char> w_seen_;
+  std::vector<int> w_touched_;
+  std::vector<char> pivoted_;
+  std::vector<int> new_basis_;
+  std::vector<int> structural_;
 
   long iterations_ = 0;
   long pivots_ = 0;

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/control_plane.h"
 #include "obs/metrics.h"
 #include "topology/catalog.h"
+#include "util/rng.h"
+#include "workload/sla.h"
 
 namespace bate {
 namespace {
@@ -124,6 +127,87 @@ TEST_F(ControlPlaneFixture, SetPrimariesFeedsTheNextVerdicts) {
   EXPECT_EQ(cp.primaries()[0], flood);
   const Demand second = make_demand(2, catalog.pair_index({0, 2}), 100.0, 0.0);
   EXPECT_FALSE(cp.admit({&second, 1}).outcomes[0].admitted);
+}
+
+/// FNV-1a over the bytes of `value`.
+template <typename T>
+void fnv(std::uint64_t& h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (const unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+}
+
+TEST_F(ControlPlaneFixture, SeededChurnRoundsArePinnedBitForBit) {
+  // Every LP of a round runs through the one simplex engine: the warm LP
+  // restart, the hard-repair branch & bound nodes and the admission probes.
+  // The digest covers every round's admitted ids, primaries bit for bit,
+  // and the solver work the round took, so a change to the engine that
+  // moves any pivot of any round changes it: an optimization meant to be
+  // bit-identical must keep the constant. The replay mixes single
+  // arrivals, bursts of 8 near the admission limit (rejects) and withdraws.
+  obs::set_enabled(true);
+  const std::int64_t nodes0 = counter("bate_bnb_nodes_solved_total");
+  ControlPlane cp(scheduler, AdmissionStrategy::kBate);
+  Rng rng(9001);
+  const auto& targets = b4_targets();
+  DemandId next_id = 1;
+  int rounds = 0;
+  int rejected = 0;
+  int withdrawn = 0;
+  std::uint64_t h = 14695981039346656037ull;
+  for (int step = 0; step < 160; ++step) {
+    const std::int64_t iterations0 = counter("bate_solver_iterations_total");
+    const std::int64_t pivots0 = counter("bate_solver_pivots_total");
+    const std::int64_t dual0 = counter("bate_solver_dual_pivots_total");
+    const std::size_t live = cp.admitted().size();
+    bool ran = false;
+    if (live > 0 && rng.uniform(0.0, 1.0) < (live < 40 ? 0.3 : 0.6)) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(live) - 1));
+      const DemandId id = cp.admitted()[k].id;
+      ran = !cp.withdraw({&id, 1}).empty();
+      ++withdrawn;
+    } else {
+      const bool burst = rng.bernoulli(0.25);
+      std::vector<Demand> batch;
+      for (int i = 0; i < (burst ? 8 : 1); ++i) {
+        const double mbps =
+            burst ? rng.uniform(30.0, 150.0) : rng.uniform(10.0, 50.0);
+        const int pair = rng.uniform_int(0, catalog.pair_count() - 1);
+        const double beta =
+            targets[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<int>(targets.size()) - 1))]
+                .availability;
+        batch.push_back(make_demand(next_id++, pair, mbps, beta));
+      }
+      const BatchAdmissionOutcome out = cp.admit(batch);
+      for (const AdmissionOutcome& o : out.outcomes) {
+        rejected += o.admitted ? 0 : 1;
+      }
+      ran = out.rescheduled;
+    }
+    if (!ran) continue;
+    ++rounds;
+    for (const Demand& d : cp.admitted()) fnv(h, d.id);
+    for (const Allocation& alloc : cp.primaries()) {
+      for (const std::vector<double>& rates : alloc) {
+        fnv(h, rates.size());
+        for (const double r : rates) fnv(h, r);
+      }
+    }
+    fnv(h, counter("bate_solver_iterations_total") - iterations0);
+    fnv(h, counter("bate_solver_pivots_total") - pivots0);
+    fnv(h, counter("bate_solver_dual_pivots_total") - dual0);
+  }
+  EXPECT_GT(rounds, 100);
+  EXPECT_GT(rejected, 0) << "the replay never reached the admission limit";
+  EXPECT_GT(withdrawn, 0);
+  EXPECT_GT(counter("bate_bnb_nodes_solved_total") - nodes0, 0)
+      << "no round ran a hard-repair node";
+  EXPECT_EQ(h, 0x06fa74d568791c12ull) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

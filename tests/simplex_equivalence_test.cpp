@@ -235,6 +235,46 @@ TEST(SimplexWarmStart, ReferenceModeIgnoresWarmStart) {
   ASSERT_EQ(sol.status, reference_solve(model).status);
 }
 
+TEST(SimplexWarmStart, ReinversionEvictsADuplicateBasicColumn) {
+  // x0 and x1 are the same column, both basic in the warm basis, so the
+  // basis is singular. Reinversion pivots x0 in, finds nothing left of x1
+  // and evicts it to its nearest bound, handing its row to a slack. x2,
+  // reinverted next, has no term in the row x0 pivoted on: any value the
+  // evicted column left in the workspace there would corrupt its eta.
+  Model model;
+  model.set_sense(Sense::kMaximize);
+  model.add_variable(1.0, 10.0, 2.0);  // x0
+  model.add_variable(1.0, 10.0, 2.0);  // x1 = x0
+  model.add_variable(0.0, kInfinity, 1.0);  // x2
+  model.add_constraint({{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 4.0);
+  model.add_constraint({{0, 1.0}, {1, 1.0}, {2, 1.0}}, Relation::kLessEqual,
+                       6.0);
+  model.add_constraint({{2, 1.0}}, Relation::kLessEqual, 5.0);
+
+  WarmStart warm;
+  warm.basis.structural_count = 3;
+  warm.basis.constraint_count = 3;
+  warm.basis.basic = {0, 1, 2};
+  warm.basis.status = {VarStatus::kBasic,   VarStatus::kBasic,
+                       VarStatus::kBasic,   VarStatus::kAtLower,
+                       VarStatus::kAtLower, VarStatus::kAtLower};
+  SimplexOptions opt;
+  opt.presolve = false;  // keep the basis exactly as given
+  const Solution sol = solve_lp(model, opt, &warm);
+  ASSERT_TRUE(warm.used);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  EXPECT_GE(sol.refactorizations, 1);
+  EXPECT_EQ(sol.x[1], 1.0) << "the later duplicate sits at its lower bound";
+  EXPECT_EQ(warm.basis.status[1], VarStatus::kAtLower);
+  // x2 ties on rows 1 and 2 and takes the lower; row 2 goes to its slack.
+  // That basis is already optimal, so the restart pivots no more.
+  EXPECT_EQ(warm.basis.basic, (std::vector<int>{0, 2, 5}));
+  EXPECT_EQ(sol.pivots, 0);
+  EXPECT_NEAR(sol.objective, 10.0, 1e-9);
+  expect_matches_reference(sol, model, "duplicate basic column");
+  EXPECT_TRUE(model.feasible(sol.x, 1e-9));
+}
+
 // --- Branch & bound: warm-started nodes and the parallel driver -----------
 
 /// Random bounded feasible MILP (binaries plus a few continuous vars, all
@@ -576,6 +616,24 @@ TEST(PresolveEquivalence, MilpVerdictsMatchPresolveOff) {
     EXPECT_NEAR(a.objective, b.objective, 1e-6) << "seed " << s;
     EXPECT_TRUE(m.feasible(a.x, 1e-6)) << "seed " << s;
   }
+}
+
+TEST(PresolveEquivalence, WarmRestartReportsItsReinversion) {
+  // A warm restart reinverts the basis it is handed; through presolve the
+  // reduced solve's work counters must reach the caller whole.
+  const Topology topo = testbed6();
+  const auto catalog = TunnelCatalog::build_all_pairs(topo, 3);
+  TrafficScheduler sched(topo, catalog);
+  const Model model = sched.build_schedule_model(small_demands(catalog, 21));
+  WarmStart warm;
+  const Solution cold = solve_lp(model, {}, &warm);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  ASSERT_GT(cold.rows_removed, 0) << "presolve left the model as it was";
+  const Solution hot = solve_lp(model, {}, &warm);
+  ASSERT_TRUE(warm.used);
+  ASSERT_EQ(hot.status, SolveStatus::kOptimal);
+  EXPECT_GT(hot.rows_removed, 0);
+  EXPECT_GE(hot.refactorizations, 1);
 }
 
 TEST(PresolveEquivalence, SolutionCarriesPresolveCounters) {
