@@ -94,7 +94,7 @@ void BM_ProjectionExact(benchmark::State& state) {
   for (auto _ : state) {
     for (int k = 0; k < f.catalog.pair_count(); ++k) {
       benchmark::DoNotOptimize(
-          reference_patterns_for(f.topo, f.catalog.tunnels(k)));
+          exact_patterns(f.topo, f.catalog.tunnels(k)));
     }
   }
 }

@@ -17,6 +17,11 @@
 // the live scheduling round does; their fast solves restart from it (the
 // reference solve ignores it and runs cold).
 //
+// The construct_* cases time TrafficScheduler construction at y=3 over
+// every catalog pair of five topologies (pattern distributions plus the
+// per-(pair, pattern) capability LPs): median_ms is wall time, cpu_ms the
+// median process CPU over all threads.
+//
 // --trace FILE dumps the spans the bench run recorded as Chrome trace_event
 // JSON (open in chrome://tracing or https://ui.perfetto.dev).
 //
@@ -32,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -145,6 +151,49 @@ std::vector<Instance> build_instances() {
                      build_recovery_model(s.topo, catalog, demands, failed),
                      {}});
     }
+  }
+  return out;
+}
+
+/// The construct_* cases: `reps` constructions per topology, each timed in
+/// wall and process CPU milliseconds.
+std::vector<BenchCase> construct_cases(int reps) {
+  struct Spec {
+    const char* name;
+    Topology topo;
+  };
+  std::vector<Spec> specs;
+  specs.push_back({"construct_testbed6", testbed6()});
+  specs.push_back({"construct_b4", b4()});
+  specs.push_back({"construct_att", att()});
+  specs.push_back({"construct_ibm", ibm()});
+  specs.push_back({"construct_fiti", fiti()});
+  std::vector<BenchCase> out;
+  for (const Spec& s : specs) {
+    const auto catalog = TunnelCatalog::build_all_pairs(s.topo, 4);
+    SchedulerConfig cfg;
+    cfg.max_failures = 3;
+    std::vector<double> wall;
+    std::vector<double> cpu;
+    for (int r = 0; r < reps; ++r) {
+      const std::clock_t c0 = std::clock();
+      const auto t0 = std::chrono::steady_clock::now();
+      const TrafficScheduler sched(s.topo, catalog, cfg);
+      const auto t1 = std::chrono::steady_clock::now();
+      const std::clock_t c1 = std::clock();
+      wall.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      cpu.push_back(1e3 * static_cast<double>(c1 - c0) / CLOCKS_PER_SEC);
+    }
+    const double median_ms = quantile(wall, 0.5);
+    const double cpu_ms = quantile(cpu, 0.5);
+    std::printf("%-30s %10s %10.3f %10.3f cpu_ms %.3f, %d pairs\n", s.name, "-",
+                median_ms, quantile(wall, 0.95), cpu_ms, catalog.pair_count());
+    out.push_back({s.name,
+                   {{"median_ms", median_ms},
+                    {"p95_ms", quantile(wall, 0.95)},
+                    {"cpu_ms", cpu_ms},
+                    {"pairs", static_cast<double>(catalog.pair_count())}}});
   }
   return out;
 }
@@ -405,6 +454,10 @@ int main(int argc, char** argv) {
         {"nopresolve_median_ms", nopre_median_ms},
         {"speedup_vs_nopresolve", speedup_vs_nopre},
     };
+    report.cases.push_back(std::move(c));
+  }
+
+  for (BenchCase& c : construct_cases(reps)) {
     report.cases.push_back(std::move(c));
   }
 

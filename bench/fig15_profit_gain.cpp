@@ -1,7 +1,9 @@
 // Fig 15: expected profit retained after a link failure, per TE scheme, at
 // arrival rates 1/3/5 per minute. BATE reacts with its greedy recovery
 // (Sec 3.4); the baselines rescale proportionally. Refund ratios are drawn
-// from the 10 Azure services the paper cites.
+// from the 10 Azure services the paper cites. Each cell also shows, in
+// parentheses, the profit the allocation keeps with no link down, so that
+// an allocation shortfall reads apart from the failure reaction.
 //
 // Paper's shape: BATE retains 10-20% more profit than every baseline.
 #include <cstdio>
@@ -23,6 +25,7 @@ int main() {
   Table table({"rate/min", "BATE", "TEAVAR", "SWAN", "SMORE", "B4", "FFC"});
   for (int rate : {1, 3, 5}) {
     std::vector<double> gains(6, 0.0);
+    std::vector<double> no_failure(6, 0.0);
     const int reps = 2;
     for (int rep = 0; rep < reps; ++rep) {
       WorkloadConfig wl = base;
@@ -35,15 +38,18 @@ int main() {
         const TeEvaluation eval = evaluate_te(
             env->topo, *schemes[s], demands, schemes[s] == env->bate.get());
         gains[s] += eval.post_failure_profit_fraction * 100.0 / reps;
+        no_failure[s] += eval.no_failure_profit_fraction * 100.0 / reps;
       }
     }
-    table.add_row({std::to_string(rate), fmt(gains[0], 1), fmt(gains[1], 1),
-                   fmt(gains[2], 1), fmt(gains[3], 1), fmt(gains[4], 1),
-                   fmt(gains[5], 1)});
+    std::vector<std::string> row{std::to_string(rate)};
+    for (std::size_t s = 0; s < gains.size(); ++s) {
+      row.push_back(fmt(gains[s], 1) + " (" + fmt(no_failure[s], 1) + ")");
+    }
+    table.add_row(std::move(row));
   }
   std::printf("%s",
-              table.to_string("Fig 15: profit after failures (% of "
-                              "no-failure profit)")
+              table.to_string("Fig 15: profit after one link failure "
+                              "(no link down), % of full profit")
                   .c_str());
   std::printf("\nExpected shape: BATE retains the most profit at every "
               "rate.\n");

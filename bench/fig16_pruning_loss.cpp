@@ -44,7 +44,7 @@ int main() {
     // Keep a subset that is feasible under the exact failure model, so the
     // pruning-loss comparison is about over-allocation, not feasibility.
     SchedulerConfig exact_cfg;
-    exact_cfg.exact = true;
+    exact_cfg.max_failures = topo.link_count();
     const TrafficScheduler exact(topo, catalog, exact_cfg);
     AdmissionController filter(exact, AdmissionStrategy::kBate);
     std::vector<Demand> demands;

@@ -28,7 +28,6 @@ int main() {
       const TrafficScheduler scheduler(topo, catalog,
                                        simulation_scheduler_config());
       const BateScheme bate(scheduler);
-      const AvailabilityEvaluator evaluator(topo, catalog);
 
       WorkloadConfig wl;
       wl.arrival_rate_per_min = rate;
@@ -46,7 +45,8 @@ int main() {
       const auto allocs = bate.allocate(demands);
       double mean_avail = 0.0;
       for (std::size_t i = 0; i < demands.size(); ++i) {
-        mean_avail += evaluator.availability(demands[i], allocs[i]);
+        mean_avail +=
+            achieved_availability(topo, catalog, demands[i], allocs[i]);
       }
       row.push_back(fmt(mean_avail / demands.size() * 100.0, 2));
     }

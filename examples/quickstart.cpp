@@ -68,7 +68,7 @@ int main() {
   const auto& allocs = admission.allocations();
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const double avail =
-        scheduler.achieved_availability(demands[i], allocs[i]);
+        achieved_availability(topo, catalog, demands[i], allocs[i]);
     const auto& tunnels = catalog.tunnels(demands[i].pairs[0].pair);
     for (std::size_t t = 0; t < tunnels.size(); ++t) {
       if (allocs[i][0][t] <= 0.5) continue;

@@ -83,7 +83,7 @@ TeavarScheme::TeavarScheme(const Topology& topo, const TunnelCatalog& catalog,
     : topo_(&topo), catalog_(&catalog), beta_(beta), lp_(lp) {
   patterns_.reserve(static_cast<std::size_t>(catalog.pair_count()));
   for (int k = 0; k < catalog.pair_count(); ++k) {
-    patterns_.push_back(reference_patterns_for(topo, catalog.tunnels(k)));
+    patterns_.push_back(exact_patterns(topo, catalog.tunnels(k)));
   }
 }
 

@@ -34,7 +34,7 @@ class TeavarScheme final : public TeScheme {
   const TunnelCatalog* catalog_;
   double beta_;
   SimplexOptions lp_;
-  std::vector<PatternDistribution> patterns_;  // per pair, reference model
+  std::vector<PatternDistribution> patterns_;  // per pair, exact model
 };
 
 /// Shared helper (also used by SMORE): the largest common grant factor

@@ -16,32 +16,45 @@ namespace bate {
 /// Admission preconditions (Sec 3.2): a demand offered to Algorithm 1 must
 /// request finite nonnegative bandwidth on known pairs with beta in [0,1];
 /// everything downstream (greedy walk, conjecture, MILP) assumes it.
-void validate_demand(const TunnelCatalog& catalog, const Demand& demand) {
-  BATE_ASSERT_MSG(!demand.pairs.empty(), "admission: demand with no pairs");
+const char* demand_defect(const TunnelCatalog& catalog, const Demand& demand) {
+  if (demand.pairs.empty()) return "admission: demand with no pairs";
+  std::size_t tunnels = 0;
   for (const PairDemand& pd : demand.pairs) {
-    BATE_ASSERT_MSG(pd.pair >= 0 && pd.pair < catalog.pair_count(),
-                    "admission: demand references unknown pair");
-    BATE_ASSERT_MSG(std::isfinite(pd.mbps) && pd.mbps >= 0.0,
-                    "admission: negative or non-finite bandwidth request");
+    if (pd.pair < 0 || pd.pair >= catalog.pair_count()) {
+      return "admission: demand references unknown pair";
+    }
+    if (!(std::isfinite(pd.mbps) && pd.mbps >= 0.0)) {
+      return "admission: negative or non-finite bandwidth request";
+    }
+    tunnels += catalog.tunnels(pd.pair).size();
   }
-  BATE_ASSERT_MSG(demand.availability_target >= 0.0 &&
-                      demand.availability_target <= 1.0,
-                  "admission: availability target outside [0,1]");
-  BATE_ASSERT_MSG(demand.refund_fraction >= 0.0 &&
-                      demand.refund_fraction <= 1.0,
-                  "admission: refund fraction outside [0,1]");
+  if (!(demand.availability_target >= 0.0 &&
+        demand.availability_target <= 1.0)) {
+    return "admission: availability target outside [0,1]";
+  }
+  if (!(demand.refund_fraction >= 0.0 && demand.refund_fraction <= 1.0)) {
+    return "admission: refund fraction outside [0,1]";
+  }
+  if (tunnels > static_cast<std::size_t>(kMaxPatternTunnels)) {
+    return "admission: demand spans too many tunnels";
+  }
+  return nullptr;
+}
+
+void validate_demand(const TunnelCatalog& catalog, const Demand& demand) {
+  const char* defect = demand_defect(catalog, demand);
+  BATE_ASSERT_MSG(defect == nullptr, defect);
 }
 
 namespace {
 
 /// Remaining capacity of a tunnel: the bottleneck of its links' residuals.
-double tunnel_capacity(const Topology& topo, const Tunnel& tunnel,
+double tunnel_capacity(const Tunnel& tunnel,
                        const std::vector<double>& residual) {
   double cap = kInfinity;
   for (LinkId e : tunnel.links) {
     cap = std::min(cap, residual[static_cast<std::size_t>(e)]);
   }
-  (void)topo;
   return std::max(cap, 0.0);
 }
 
@@ -69,7 +82,7 @@ GreedyResult greedy_core(const Topology& topo, const TunnelCatalog& catalog,
     // Line 4: does the pair's aggregate remaining capacity cover b?
     double pair_capacity = 0.0;
     for (const Tunnel& t : tunnels) {
-      pair_capacity += tunnel_capacity(topo, t, residual);
+      pair_capacity += tunnel_capacity(t, residual);
     }
     if (pair_capacity + 1e-9 < pd.mbps && !allow_partial) {
       result.complete = false;
@@ -90,7 +103,7 @@ GreedyResult greedy_core(const Topology& topo, const TunnelCatalog& catalog,
       bool best_safe = false;
       for (std::size_t t = 0; t < tunnels.size(); ++t) {
         if (used[t]) continue;
-        const double cap = tunnel_capacity(topo, tunnels[t], residual);
+        const double cap = tunnel_capacity(tunnels[t], residual);
         if (cap <= 1e-9) continue;
         const double avail = tunnels[t].availability(topo);
         const double score = cap * avail;
@@ -109,7 +122,7 @@ GreedyResult greedy_core(const Topology& topo, const TunnelCatalog& catalog,
         break;
       }
       const auto& tunnel = tunnels[static_cast<std::size_t>(best)];
-      const double cap = tunnel_capacity(topo, tunnel, residual);
+      const double cap = tunnel_capacity(tunnel, residual);
       const double f = std::min(cap, remaining);
       result.alloc[p][static_cast<std::size_t>(best)] = f;
       used[static_cast<std::size_t>(best)] = 1;
@@ -146,11 +159,9 @@ bool admission_conjecture(const TrafficScheduler& scheduler,
   // Lines 3-15 with a tighter certificate than the paper's product bound
   // s_d: the greedy walk (plus a redundancy top-up on reliable tunnels,
   // which the optimal MILP would also exploit) yields an actual allocation
-  // whose hard availability is certified against the reference failure
-  // model. A `true` answer therefore still implies feasibility (Theorem 1)
-  // while rejecting far fewer multi-tunnel demands.
-  (void)topo;
-  (void)catalog;
+  // whose hard availability is certified against the scheduler's pruned
+  // failure model. A `true` answer therefore still implies feasibility
+  // (Theorem 1) while rejecting far fewer multi-tunnel demands.
   for (const Demand& d : order) {
     if (!greedy_allocate_guaranteed(scheduler, d, residual)) return false;
   }
@@ -504,7 +515,9 @@ bool AdmissionController::try_fixed(const Demand& demand,
   const ScheduleResult r = scheduler_->schedule(
       std::span<const Demand>(&demand_copy, 1), residual);
   if (!r.feasible) return false;
-  if (scheduler_->achieved_availability(demand, r.alloc[0]) + 1e-9 <
+  if (achieved_availability(scheduler_->topology(), scheduler_->catalog(),
+                            demand, r.alloc[0]) +
+          1e-9 <
       demand.availability_target) {
     return false;  // LP met (4) only in the relaxed sense
   }
@@ -552,6 +565,27 @@ void record_admission(AdmissionStrategy strategy,
 
 }  // namespace
 
+void AdmissionController::admit_and_reschedule(const Demand& demand,
+                                               std::vector<double>& residual,
+                                               bool* rescheduled) {
+  // Temporary allocation from whatever residual capacity remains (possibly
+  // partial; the scheduling round completes it, guaranteed feasible by
+  // Theorem 1 or by the optimal check).
+  Allocation temp(demand.pairs.size());
+  for (std::size_t p = 0; p < demand.pairs.size(); ++p) {
+    temp[p].assign(scheduler_->catalog().tunnels(demand.pairs[p].pair).size(),
+                   0.0);
+  }
+  auto full = greedy_allocate(scheduler_->topology(), scheduler_->catalog(),
+                              demand, residual);
+  if (full) temp = std::move(*full);
+  admitted_.push_back(demand);
+  allocations_.push_back(std::move(temp));
+  reschedule();
+  *rescheduled = true;
+  residual = residual_capacity();  // allocations changed wholesale
+}
+
 AdmissionOutcome AdmissionController::offer_one(const Demand& demand,
                                                 std::vector<double>& residual,
                                                 bool* rescheduled) {
@@ -576,22 +610,7 @@ AdmissionOutcome AdmissionController::offer_one(const Demand& demand,
       if (admission_conjecture(*scheduler_, all)) {
         outcome.admitted = true;
         outcome.via_conjecture = true;
-        // Temporary allocation from whatever residual capacity remains
-        // (possibly partial; the next scheduling round completes it,
-        // guaranteed feasible by Theorem 1).
-        Allocation temp(demand.pairs.size());
-        for (std::size_t p = 0; p < demand.pairs.size(); ++p) {
-          temp[p].assign(
-              scheduler_->catalog().tunnels(demand.pairs[p].pair).size(), 0.0);
-        }
-        auto full = greedy_allocate(scheduler_->topology(),
-                                    scheduler_->catalog(), demand, residual);
-        if (full) temp = std::move(*full);
-        admitted_.push_back(demand);
-        allocations_.push_back(std::move(temp));
-        reschedule();
-        *rescheduled = true;
-        residual = residual_capacity();  // allocations changed wholesale
+        admit_and_reschedule(demand, residual, rescheduled);
       }
       break;
     }
@@ -600,19 +619,7 @@ AdmissionOutcome AdmissionController::offer_one(const Demand& demand,
       all.push_back(demand);
       if (optimal_admission_check(*scheduler_, all, optimal_options_)) {
         outcome.admitted = true;
-        Allocation temp(demand.pairs.size());
-        for (std::size_t p = 0; p < demand.pairs.size(); ++p) {
-          temp[p].assign(
-              scheduler_->catalog().tunnels(demand.pairs[p].pair).size(), 0.0);
-        }
-        auto full = greedy_allocate(scheduler_->topology(),
-                                    scheduler_->catalog(), demand, residual);
-        if (full) temp = std::move(*full);
-        admitted_.push_back(demand);
-        allocations_.push_back(std::move(temp));
-        reschedule();
-        *rescheduled = true;
-        residual = residual_capacity();
+        admit_and_reschedule(demand, residual, rescheduled);
       }
       break;
     }

@@ -27,16 +27,21 @@ namespace bate {
 
 enum class AdmissionStrategy { kFixed, kBate, kOptimal };
 
-/// Aborts (BATE_ASSERT, util/check.h) unless `demand` satisfies the
-/// admission preconditions: at least one pair, every pair known to the
-/// catalog, finite nonnegative bandwidth, beta and mu in [0,1].
+/// Why `demand` fails the admission preconditions, or nullptr when it meets
+/// them: at least one pair, every pair known to the catalog, finite
+/// nonnegative bandwidth, beta and mu in [0,1], and at most
+/// kMaxPatternTunnels tunnels over all its pairs (its joint pattern
+/// distribution). Ingress checks it before a demand reaches admission.
+const char* demand_defect(const TunnelCatalog& catalog, const Demand& demand);
+
+/// Aborts (BATE_ASSERT, util/check.h) when demand_defect() names a defect.
 void validate_demand(const TunnelCatalog& catalog, const Demand& demand);
 
 /// Algorithm 1: greedy conjecture on whether every demand in `demands` can
 /// be satisfied simultaneously. Conservative: a `true` answer implies a
 /// feasible allocation exists (Theorem 1) — the greedy allocation built
 /// during the walk is itself a witness, certified against the scheduler's
-/// reference failure model (a strictly tighter, still sound test than the
+/// pruned failure model (a strictly tighter, still sound test than the
 /// paper's product bound s_d; see the implementation note).
 bool admission_conjecture(const TrafficScheduler& scheduler,
                           std::span<const Demand> demands);
@@ -65,7 +70,7 @@ std::optional<Allocation> greedy_allocate(const Topology& topo,
 
 /// Availability-guaranteed variant: after the bandwidth walk, tops up
 /// reliable tunnels with redundant allocation until the demand's hard
-/// availability target holds under the scheduler's reference model (the
+/// availability target holds under the scheduler's pruned model (the
 /// over-provisioning the optimal MILP would also use). Returns nullopt —
 /// leaving `residual` untouched — when bandwidth or availability cannot be
 /// met.
@@ -141,6 +146,10 @@ class AdmissionController {
   AdmissionOutcome offer_one(const Demand& demand,
                              std::vector<double>& residual, bool* rescheduled);
   bool try_fixed(const Demand& demand, std::vector<double>& residual);
+  /// Admits `demand` on a temporary greedy allocation, runs a scheduling
+  /// round over the admitted set and refreshes `residual` from it.
+  void admit_and_reschedule(const Demand& demand,
+                            std::vector<double>& residual, bool* rescheduled);
 
   const TrafficScheduler* scheduler_;
   AdmissionStrategy strategy_;

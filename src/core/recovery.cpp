@@ -59,9 +59,9 @@ Allocation empty_allocation(const TunnelCatalog& catalog, const Demand& d) {
 
 /// Tries to place the whole demand on surviving tunnels within `residual`
 /// (consumed on success). Shortest-surviving-tunnel first.
-bool place_whole(const Topology& topo, const TunnelCatalog& catalog,
-                 const Demand& d, std::span<const LinkId> failed,
-                 std::vector<double>& residual, Allocation& out) {
+bool place_whole(const TunnelCatalog& catalog, const Demand& d,
+                 std::span<const LinkId> failed, std::vector<double>& residual,
+                 Allocation& out) {
   std::vector<double> scratch = residual;
   Allocation alloc = empty_allocation(catalog, d);
   for (std::size_t p = 0; p < d.pairs.size(); ++p) {
@@ -83,7 +83,6 @@ bool place_whole(const Topology& topo, const TunnelCatalog& catalog,
     }
     if (remaining > 1e-9) return false;
   }
-  (void)topo;
   residual = std::move(scratch);
   out = std::move(alloc);
   return true;
@@ -182,15 +181,14 @@ RecoveryResult recover_optimal(const Topology& topo,
                                const TunnelCatalog& catalog,
                                std::span<const Demand> demands,
                                std::span<const LinkId> failed_links,
-                               const BranchBoundOptions& options,
-                               WarmStart* warm) {
+                               const BranchBoundOptions& options) {
   validate_recovery_inputs(topo, catalog, demands, failed_links);
   std::vector<std::vector<RecoveryPairVars>> gvars;
   std::vector<int> yvar;
   const Model model = build_recovery_model_impl(topo, catalog, demands,
                                                 failed_links, &gvars, &yvar);
 
-  const Solution sol = solve_milp(model, options, warm);
+  const Solution sol = solve_milp(model, options);
 
   RecoveryResult result;
   result.solved = sol.status == SolveStatus::kOptimal ||
@@ -249,7 +247,7 @@ RecoveryResult recover_greedy(const Topology& topo,
     const std::size_t i = order[idx];
     const Demand& d = demands[i];
     Allocation placed;
-    if (place_whole(topo, catalog, d, failed_links, residual, placed)) {
+    if (place_whole(catalog, d, failed_links, residual, placed)) {
       result.alloc[i] = std::move(placed);  // lines 5-9
       result.full_profit[i] = 1;
       full_set.push_back(i);
@@ -260,7 +258,7 @@ RecoveryResult recover_greedy(const Topology& topo,
     if (full_set_charge < d.charge) {
       auto fresh = surviving_residual(topo, failed_links);
       Allocation alone;
-      if (place_whole(topo, catalog, d, failed_links, fresh, alone)) {
+      if (place_whole(catalog, d, failed_links, fresh, alone)) {
         for (std::size_t j : full_set) {
           result.alloc[j] = empty_allocation(catalog, demands[j]);
           result.full_profit[j] = 0;

@@ -34,21 +34,12 @@ struct RecoveryResult {
   bool solved = false;
 };
 
-/// Optimal recovery: the profit-maximization MILP (12). `warm`, when
-/// non-null, warm-starts the root relaxation and receives the root's final
-/// basis back — successive solves for the same failure set (BackupPlanner
-/// rounds, periodic re-planning) re-solve a near-identical MILP, so the
-/// basis carries over; a stale basis (the surviving-tunnel variable space
-/// changed) falls back to the cold path with identical results. The
-/// pre-failure *schedule* basis cannot seed this: the recovery MILP lives
-/// in a different variable space (per-surviving-tunnel g plus binary y), so
-/// chaining happens recovery-to-recovery, not schedule-to-recovery.
+/// Optimal recovery: the profit-maximization MILP (12).
 RecoveryResult recover_optimal(const Topology& topo,
                                const TunnelCatalog& catalog,
                                std::span<const Demand> demands,
                                std::span<const LinkId> failed_links,
-                               const BranchBoundOptions& options = {},
-                               WarmStart* warm = nullptr);
+                               const BranchBoundOptions& options = {});
 
 /// The profit-maximization MILP (12) itself, without solving it. Exposed for
 /// the solver microbench (bench/bench_solver.cpp), which times solve_lp on

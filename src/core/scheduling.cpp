@@ -67,17 +67,6 @@ bool same_bits(const Allocation& a, const Allocation& b) {
   return true;
 }
 
-/// Pattern distribution for an arbitrary tunnel list under the requested
-/// model. The exact distribution enumerates 2^|union| link states; when the
-/// union is too large we substitute a quasi-exact pruned distribution
-/// (<= 6 concurrent failures) whose residual mass is negligible.
-PatternDistribution make_patterns(const Topology& topo,
-                                  std::span<const Tunnel> tunnels, bool exact,
-                                  int max_failures) {
-  if (exact) return reference_patterns_for(topo, tunnels);
-  return pruned_patterns(topo, tunnels, max_failures);
-}
-
 /// Tie-break weight: how strongly a demand should prefer reliable tunnels.
 /// Grows with the availability target (in "nines") so that, when two
 /// demands compete for a reliable path, the LP hands it to the one with the
@@ -321,14 +310,11 @@ TrafficScheduler::TrafficScheduler(const Topology& topo,
   // shared pool into pre-sized slots (deterministic regardless of order).
   const int pairs = catalog.pair_count();
   lp_patterns_.resize(static_cast<std::size_t>(pairs));
-  reference_patterns_.resize(static_cast<std::size_t>(pairs));
   tunnel_avail_.resize(static_cast<std::size_t>(pairs));
   ThreadPool::shared().parallel_for(pairs, [&](int k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     const auto& tunnels = catalog_->tunnels(k);
-    lp_patterns_[sk] =
-        make_patterns(*topo_, tunnels, cfg_.exact, cfg_.max_failures);
-    reference_patterns_[sk] = make_patterns(*topo_, tunnels, true, 0);
+    lp_patterns_[sk] = pruned_patterns(*topo_, tunnels, cfg_.max_failures);
     tunnel_avail_[sk].reserve(tunnels.size());
     for (const Tunnel& t : tunnels) {
       tunnel_avail_[sk].push_back(t.availability(*topo_));
@@ -355,11 +341,6 @@ const PatternDistribution& TrafficScheduler::lp_patterns(int pair) const {
   return lp_patterns_.at(static_cast<std::size_t>(pair));
 }
 
-const PatternDistribution& TrafficScheduler::reference_patterns(
-    int pair) const {
-  return reference_patterns_.at(static_cast<std::size_t>(pair));
-}
-
 std::shared_ptr<const DemandPatterns> TrafficScheduler::demand_patterns(
     const Demand& demand) const {
   if (demand.pairs.size() == 1) {
@@ -373,12 +354,12 @@ std::shared_ptr<const DemandPatterns> TrafficScheduler::demand_patterns(
     const auto it = joint_cache_.find(key);
     if (it != joint_cache_.end()) return it->second;
   }
-  // Build outside the lock: the joint enumeration is the expensive part and
+  // Build outside the lock: the joint distribution is the expensive part and
   // distinct keys shouldn't serialize. A racing duplicate build of the same
   // key is harmless (identical value; first insert wins).
   auto dp = std::make_shared<DemandPatterns>();
   const auto joint = joint_tunnels(*catalog_, demand, dp->ranges);
-  dp->dist = make_patterns(*topo_, joint, cfg_.exact, cfg_.max_failures);
+  dp->dist = pruned_patterns(*topo_, joint, cfg_.max_failures);
   MutexLock lock(joint_mu_);
   return joint_cache_.emplace(std::move(key), std::move(dp)).first->second;
 }
@@ -633,11 +614,12 @@ ScheduleResult TrafficScheduler::schedule(
   return result;
 }
 
-double TrafficScheduler::pattern_hard_availability(
-    const DemandPatterns& dp, const Demand& demand,
-    const Allocation& alloc) {
-  BATE_ASSERT_MSG(alloc.size() == demand.pairs.size(),
-                  "schedule: allocation shape does not match demand");
+namespace {
+
+/// The mass of `dp`'s patterns whose up tunnels carry every pair of the
+/// demand to within `tolerance` Mbps of its request.
+double hard_availability(const DemandPatterns& dp, const Demand& demand,
+                         const Allocation& alloc, double tolerance) {
   double avail = 0.0;
   const auto patterns = static_cast<PatternMask>(dp.dist.prob.size());
   for (PatternMask s = 0; s < patterns; ++s) {
@@ -650,11 +632,21 @@ double TrafficScheduler::pattern_hard_availability(
           carried += alloc[p][static_cast<std::size_t>(t - dp.ranges[p].first)];
         }
       }
-      ok = carried + 1e-6 >= demand.pairs[p].mbps;
+      ok = carried + tolerance >= demand.pairs[p].mbps;
     }
     if (ok) avail += dp.dist.prob[s];
   }
   return avail;
+}
+
+}  // namespace
+
+double TrafficScheduler::pattern_hard_availability(
+    const DemandPatterns& dp, const Demand& demand,
+    const Allocation& alloc) {
+  BATE_ASSERT_MSG(alloc.size() == demand.pairs.size(),
+                  "schedule: allocation shape does not match demand");
+  return hard_availability(dp, demand, alloc, 1e-6);
 }
 
 void TrafficScheduler::repair_hard_availability(
@@ -846,35 +838,15 @@ void TrafficScheduler::repair_hard_availability(
   if (cache != nullptr) cache->repairs = std::move(memo);
 }
 
-double TrafficScheduler::achieved_availability(const Demand& demand,
-                                               const Allocation& alloc) const {
+double achieved_availability(const Topology& topo,
+                             const TunnelCatalog& catalog,
+                             const Demand& demand, const Allocation& alloc) {
   if (alloc.size() != demand.pairs.size()) {
     throw std::invalid_argument("achieved_availability: allocation shape");
   }
-  if (demand.pairs.size() == 1) {
-    return reference_patterns_[static_cast<std::size_t>(demand.pairs[0].pair)]
-        .availability(alloc[0], demand.pairs[0].mbps);
-  }
-  std::vector<std::pair<int, int>> ranges;
-  const auto joint = joint_tunnels(*catalog_, demand, ranges);
-  const auto dist = make_patterns(*topo_, joint, true, 0);
-  double avail = 0.0;
-  const auto patterns = static_cast<PatternMask>(dist.prob.size());
-  for (PatternMask s = 0; s < patterns; ++s) {
-    if (dist.prob[s] <= 0.0) continue;
-    bool ok = true;
-    for (std::size_t p = 0; p < demand.pairs.size() && ok; ++p) {
-      double carried = 0.0;
-      for (int t = ranges[p].first; t < ranges[p].second; ++t) {
-        if ((s >> t) & 1u) {
-          carried += alloc[p][static_cast<std::size_t>(t - ranges[p].first)];
-        }
-      }
-      ok = carried + 1e-9 >= demand.pairs[p].mbps;
-    }
-    if (ok) avail += dist.prob[s];
-  }
-  return avail;
+  DemandPatterns dp;
+  dp.dist = exact_patterns(topo, joint_tunnels(catalog, demand, dp.ranges));
+  return hard_availability(dp, demand, alloc, 1e-9);
 }
 
 std::vector<double> link_usage(const Topology& topo,

@@ -40,11 +40,10 @@ inline double availability_row_scale(double beta) {
 }
 
 struct SchedulerConfig {
-  /// The paper's y: maximum concurrent link failures considered (1..4).
-  int max_failures = 2;
-  /// Use the exact (unpruned) pattern distribution — the "optimal, no
+  /// The paper's y: maximum concurrent link failures considered (1..4). At
+  /// the topology's link count nothing is pruned: the "optimal, no
   /// pruning" reference of Fig 16.
-  bool exact = false;
+  int max_failures = 2;
   /// Reliability tie-break: tunnel cost is b * (1 + eps * (1 - p_t)), so
   /// among equal-bandwidth optima the LP prefers reliable tunnels (this is
   /// what makes the LP relaxation land on hard-feasible vertices, e.g. the
@@ -169,13 +168,6 @@ class TrafficScheduler {
                           std::span<const double> capacity_override = {},
                           ScheduleBasisCache* basis = nullptr) const;
 
-  /// Availability achieved by an allocation under the *reference* (exact or
-  /// quasi-exact) failure model: the probability mass of scenarios where
-  /// every pair of the demand receives its full bandwidth. This is the hard
-  /// satisfaction measure the evaluation uses.
-  double achieved_availability(const Demand& demand,
-                               const Allocation& alloc) const;
-
   /// Pattern distribution used by the LP for a single pair.
   const PatternDistribution& lp_patterns(int pair) const;
   /// Per-pattern deliverable capability of a pair: entry S is the maximum
@@ -187,8 +179,6 @@ class TrafficScheduler {
   /// capacity shared with other demands only shrinks it — so the hard-repair
   /// pass uses it to skip provably infeasible repair MILPs.
   const std::vector<double>& pattern_capability(int pair) const;
-  /// Reference (exact where tractable) pattern distribution for a pair.
-  const PatternDistribution& reference_patterns(int pair) const;
   /// Pattern distribution of a whole demand under the LP model. Single-pair
   /// demands resolve to the precomputed per-pair distribution; multi-pair
   /// demands build the joint distribution once and cache it keyed by the
@@ -228,7 +218,6 @@ class TrafficScheduler {
   const TunnelCatalog* catalog_;
   SchedulerConfig cfg_;
   std::vector<PatternDistribution> lp_patterns_;
-  std::vector<PatternDistribution> reference_patterns_;
   /// tunnel_avail_[pair][t] = catalog tunnel availability, hoisted out of
   /// the per-LP-variable loops in schedule() and the repair MILP.
   std::vector<std::vector<double>> tunnel_avail_;
@@ -242,6 +231,15 @@ class TrafficScheduler {
   mutable std::map<std::vector<int>, std::shared_ptr<const DemandPatterns>>
       joint_cache_ BATE_GUARDED_BY(joint_mu_);
 };
+
+/// Availability an allocation achieves under the exact (unpruned) failure
+/// model: the probability that every pair of the demand receives its full
+/// bandwidth, from the joint pattern distribution of all its pairs'
+/// tunnels. This is the hard satisfaction measure of the evaluation, the
+/// fixed admission step and the tests.
+double achieved_availability(const Topology& topo,
+                             const TunnelCatalog& catalog,
+                             const Demand& demand, const Allocation& alloc);
 
 /// Total bandwidth an allocation places on each link (indexed by LinkId).
 std::vector<double> link_usage(const Topology& topo,

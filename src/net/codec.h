@@ -86,10 +86,19 @@ class BufferReader {
     return std::string(b.begin(), b.end());
   }
   std::vector<double> f64_vec() {
-    const std::uint32_t n = u32();
-    std::vector<double> v(n);
+    std::vector<double> v(count(8));
     for (auto& x : v) x = f64();
     return v;
+  }
+  /// A u32 element count, checked against the bytes left before anyone
+  /// sizes a container by it: `element_bytes` is one element's encoded
+  /// size, so a hostile count throws here instead of allocating.
+  std::uint32_t count(std::size_t element_bytes) {
+    const std::uint32_t n = u32();
+    if (n * element_bytes > data_.size() - offset_) {
+      throw std::out_of_range("BufferReader: count exceeds message");
+    }
+    return n;
   }
   bool exhausted() const { return offset_ == data_.size(); }
 

@@ -1,9 +1,8 @@
 #include "scenario/pattern.h"
 
 #include <algorithm>
-#include <bit>
-#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "scenario/scenario.h"
 
@@ -34,64 +33,69 @@ double PatternDistribution::availability(std::span<const double> alloc,
 }
 
 std::vector<LinkId> tunnel_link_union(std::span<const Tunnel> tunnels) {
-  std::set<LinkId> links;
-  for (const Tunnel& t : tunnels) links.insert(t.links.begin(), t.links.end());
-  return {links.begin(), links.end()};
+  std::vector<LinkId> links;
+  for (const Tunnel& t : tunnels) {
+    links.insert(links.end(), t.links.begin(), t.links.end());
+  }
+  std::sort(links.begin(), links.end());
+  links.erase(std::unique(links.begin(), links.end()), links.end());
+  return links;
 }
 
 namespace {
 
-/// Bitmask over the union describing, per tunnel, which union links it uses.
-std::vector<std::uint64_t> tunnel_union_masks(
-    std::span<const Tunnel> tunnels, const std::vector<LinkId>& uni) {
-  std::vector<std::uint64_t> masks;
-  masks.reserve(tunnels.size());
-  for (const Tunnel& t : tunnels) {
-    std::uint64_t mask = 0;
-    for (LinkId id : t.links) {
-      const auto it = std::lower_bound(uni.begin(), uni.end(), id);
-      mask |= 1ull << static_cast<unsigned>(it - uni.begin());
-    }
-    masks.push_back(mask);
+/// One link of the tunnels' union: its failure probability and the mask of
+/// the tunnels that cross it.
+struct UnionLink {
+  LinkId id;
+  double fail;
+  PatternMask uses;
+};
+
+/// The union links in ascending id order. Throws past kMaxPatternTunnels.
+std::vector<UnionLink> union_links(const Topology& topo,
+                                   std::span<const Tunnel> tunnels,
+                                   const char* caller) {
+  if (tunnels.size() > static_cast<std::size_t>(kMaxPatternTunnels)) {
+    throw std::invalid_argument(std::string(caller) + ": too many tunnels");
   }
-  return masks;
+  std::vector<UnionLink> links;
+  for (LinkId id : tunnel_link_union(tunnels)) {
+    PatternMask uses = 0;
+    for (std::size_t t = 0; t < tunnels.size(); ++t) {
+      if (tunnels[t].uses(id)) uses |= PatternMask{1} << t;
+    }
+    links.push_back({id, topo.link(id).failure_prob, uses});
+  }
+  return links;
 }
 
-PatternMask pattern_of(const std::vector<std::uint64_t>& tunnel_masks,
-                       std::uint64_t down_mask) {
-  PatternMask s = 0;
-  for (std::size_t t = 0; t < tunnel_masks.size(); ++t) {
-    if ((tunnel_masks[t] & down_mask) == 0) s |= 1u << t;
-  }
-  return s;
+/// A distribution over `tunnels` with no mass yet.
+PatternDistribution no_mass(std::span<const Tunnel> tunnels) {
+  PatternDistribution dist;
+  dist.tunnel_count = static_cast<int>(tunnels.size());
+  dist.prob.assign(std::size_t{1} << tunnels.size(), 0.0);
+  return dist;
 }
 
 }  // namespace
 
 PatternDistribution exact_patterns(const Topology& topo,
-                                   std::span<const Tunnel> tunnels,
-                                   int max_union_links) {
-  if (tunnels.size() > 20) {
-    throw std::invalid_argument("exact_patterns: too many tunnels");
-  }
-  const auto uni = tunnel_link_union(tunnels);
-  if (static_cast<int>(uni.size()) > max_union_links) {
-    throw std::invalid_argument("exact_patterns: link union too large");
-  }
-  const auto tunnel_masks = tunnel_union_masks(tunnels, uni);
-
-  PatternDistribution dist;
-  dist.tunnel_count = static_cast<int>(tunnels.size());
-  dist.prob.assign(1ull << tunnels.size(), 0.0);
-
-  const auto u = uni.size();
-  for (std::uint64_t down = 0; down < (1ull << u); ++down) {
-    double p = 1.0;
-    for (std::size_t i = 0; i < u; ++i) {
-      const double x = topo.link(uni[i]).failure_prob;
-      p *= ((down >> i) & 1ull) ? x : 1.0 - x;
+                                   std::span<const Tunnel> tunnels) {
+  const auto links = union_links(topo, tunnels, "exact_patterns");
+  PatternDistribution dist = no_mass(tunnels);
+  dist.prob.back() = 1.0;  // every tunnel up
+  // Link by link: mass at a pattern with some of the link's tunnels up
+  // stays with probability 1 - p and loses them with probability p. The
+  // target pattern has none of them up, so it is never a source of this
+  // link's pass, and its own mass stays whole: the update runs in place.
+  for (const UnionLink& l : links) {
+    for (std::size_t s = 0; s < dist.prob.size(); ++s) {
+      const double v = dist.prob[s];
+      if ((s & l.uses) == 0 || v == 0.0) continue;
+      dist.prob[s] = (1.0 - l.fail) * v;
+      dist.prob[s & ~std::size_t{l.uses}] += l.fail * v;
     }
-    dist.prob[pattern_of(tunnel_masks, down)] += p;
   }
   return dist;
 }
@@ -102,52 +106,49 @@ PatternDistribution pruned_patterns(const Topology& topo,
   if (max_failures < 0) {
     throw std::invalid_argument("pruned_patterns: max_failures must be >= 0");
   }
-  if (tunnels.size() > 20) {
-    throw std::invalid_argument("pruned_patterns: too many tunnels");
-  }
-  const auto uni = tunnel_link_union(tunnels);
-  const auto tunnel_masks = tunnel_union_masks(tunnels, uni);
-  const auto u = uni.size();
+  if (max_failures >= topo.link_count()) return exact_patterns(topo, tunnels);
+  const auto links = union_links(topo, tunnels, "pruned_patterns");
 
-  // P(exactly k failures among links outside the union), k = 0..max_failures.
+  // P(at most k failures among links outside the union), k = 0..y.
   std::vector<char> skip(static_cast<std::size_t>(topo.link_count()), 0);
-  for (LinkId id : uni) skip[static_cast<std::size_t>(id)] = 1;
-  const auto outside = failure_count_distribution(topo, max_failures, skip);
-  // Cumulative: P(<= k failures outside).
-  std::vector<double> outside_cum(outside.size());
-  double acc = 0.0;
-  for (std::size_t k = 0; k < outside.size(); ++k) {
-    acc += outside[k];
-    outside_cum[k] = acc;
-  }
+  for (const UnionLink& l : links) skip[static_cast<std::size_t>(l.id)] = 1;
+  auto outside = failure_count_distribution(topo, max_failures, skip);
+  for (std::size_t k = 1; k < outside.size(); ++k) outside[k] += outside[k - 1];
 
-  PatternDistribution dist;
-  dist.tunnel_count = static_cast<int>(tunnels.size());
-  dist.prob.assign(1ull << tunnels.size(), 0.0);
-
-  // Enumerate failure subsets inside the union with at most max_failures
-  // links down; the rest of the failure budget may be spent outside.
-  for (std::uint64_t down = 0; down < (1ull << u); ++down) {
-    const int down_count = std::popcount(down);
-    if (down_count > max_failures) continue;
+  // Each down set D of at most y union links weighs prod_U (p or 1 - p), in
+  // link order, times P(at most y - |D| failures outside). The sets are
+  // added in ascending order of D's bitmask over the union: the operations,
+  // in order, of a loop over all 2^|U| masks that skips the larger sets, so
+  // the sums match it bit for bit. A count-layered recurrence is cheaper
+  // but moves them by an ulp or two, and the scheduling LP has ties that
+  // such changes resolve differently (DESIGN.md Sec 5).
+  PatternDistribution dist = no_mass(tunnels);
+  const auto all_up = static_cast<PatternMask>(dist.prob.size() - 1);
+  std::vector<char> down(links.size(), 0);
+  const auto add = [&](int failed) {
     double p = 1.0;
-    for (std::size_t i = 0; i < u; ++i) {
-      const double x = topo.link(uni[i]).failure_prob;
-      p *= ((down >> i) & 1ull) ? x : 1.0 - x;
+    PatternMask lost = 0;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      p *= down[i] ? links[i].fail : 1.0 - links[i].fail;
+      if (down[i]) lost |= links[i].uses;
     }
-    p *= outside_cum[static_cast<std::size_t>(max_failures - down_count)];
-    dist.prob[pattern_of(tunnel_masks, down)] += p;
-  }
+    p *= outside[static_cast<std::size_t>(max_failures - failed)];
+    dist.prob[all_up & ~lost] += p;
+  };
+  // Adds the current set, then each extension by one link m below `limit`
+  // followed by its own extensions below m: ascending bitmask order.
+  const auto walk = [&](const auto& self, std::size_t limit,
+                        int failed) -> void {
+    add(failed);
+    if (failed == max_failures) return;
+    for (std::size_t m = 0; m < limit; ++m) {
+      down[m] = 1;
+      self(self, m, failed + 1);
+      down[m] = 0;
+    }
+  };
+  walk(walk, links.size(), 0);
   return dist;
-}
-
-PatternDistribution reference_patterns_for(const Topology& topo,
-                                           std::span<const Tunnel> tunnels) {
-  try {
-    return exact_patterns(topo, tunnels);
-  } catch (const std::invalid_argument&) {
-    return pruned_patterns(topo, tunnels, std::min(6, topo.link_count()));
-  }
 }
 
 }  // namespace bate

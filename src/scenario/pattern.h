@@ -8,15 +8,20 @@
 //
 // Two distributions are provided:
 //  * exact_patterns  — the true pattern distribution (equivalent to the
-//    unpruned 2^|E| scenario set); computed by enumerating only the link
-//    union of the pair's tunnels.
+//    unpruned 2^|E| scenario set).
 //  * pruned_patterns — the distribution restricted to the paper's pruned set
 //    "at most y concurrent link failures" (Fig 3); the pruned residual is
 //    treated as unqualified, exactly matching the paper's aggregation rule.
-//    Computed in closed form with a Poisson-binomial DP over links outside
-//    the union, so no scenario enumeration is needed even for y=4 on ATT.
 //
-// Both are exact transformations of the paper's LP; see DESIGN.md Sec 5.
+// Neither loops over all 2^|U| down sets of the tunnels' link union U. The
+// exact form is one recurrence over the links of U: each link e, failing
+// with probability p_e, keeps a pattern's mass with probability 1 - p_e and
+// moves it to the pattern without e's tunnels with probability p_e, in
+// O(|U| * 2^|T|). The pruned form visits only the down sets of at most y
+// union links, weighted by a Poisson-binomial count of the failures outside
+// U, in O(|U| * C(|U|, <= y)), and sums them in the order the full loop
+// did, so the scheduling LP's coefficients keep their bits. Both are exact
+// for a union of any size; see DESIGN.md Sec 5.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +34,10 @@
 namespace bate {
 
 using PatternMask = std::uint32_t;  // bit t set => tunnel t up
+
+/// The widest tunnel list a pattern distribution covers (2^20 patterns). A
+/// demand whose pairs carry more tunnels together cannot be scheduled.
+inline constexpr int kMaxPatternTunnels = 20;
 
 struct PatternDistribution {
   int tunnel_count = 0;
@@ -45,22 +54,16 @@ struct PatternDistribution {
 /// Sorted union of all link ids used by the tunnels.
 std::vector<LinkId> tunnel_link_union(std::span<const Tunnel> tunnels);
 
-/// Exact pattern distribution. Throws std::invalid_argument when the link
-/// union exceeds `max_union_links` (2^|U| enumeration guard).
+/// Exact pattern distribution. Throws std::invalid_argument for more than
+/// kMaxPatternTunnels tunnels.
 PatternDistribution exact_patterns(const Topology& topo,
-                                   std::span<const Tunnel> tunnels,
-                                   int max_union_links = 24);
+                                   std::span<const Tunnel> tunnels);
 
 /// Pattern distribution over the pruned scenario set (<= max_failures
-/// concurrent link failures across the whole network).
+/// concurrent link failures across the whole network); exact_patterns once
+/// max_failures reaches the link count. Same tunnel bound.
 PatternDistribution pruned_patterns(const Topology& topo,
                                     std::span<const Tunnel> tunnels,
                                     int max_failures);
-
-/// Exact distribution where the link union is tractable, otherwise a
-/// quasi-exact pruned distribution (<= 6 concurrent failures; residual mass
-/// is negligible for realistic link failure probabilities).
-PatternDistribution reference_patterns_for(const Topology& topo,
-                                           std::span<const Tunnel> tunnels);
 
 }  // namespace bate

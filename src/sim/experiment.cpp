@@ -8,33 +8,6 @@
 
 namespace bate {
 
-AvailabilityEvaluator::AvailabilityEvaluator(const Topology& topo,
-                                             const TunnelCatalog& catalog)
-    : topo_(&topo), catalog_(&catalog) {
-  patterns_.reserve(static_cast<std::size_t>(catalog.pair_count()));
-  for (int k = 0; k < catalog.pair_count(); ++k) {
-    patterns_.push_back(reference_patterns_for(topo, catalog.tunnels(k)));
-  }
-}
-
-double AvailabilityEvaluator::availability(const Demand& demand,
-                                           const Allocation& alloc) const {
-  // Pairs are evaluated independently and combined with a product — exact
-  // for disjoint pairs and a (slightly conservative) lower bound when the
-  // demand's pairs share links.
-  double avail = 1.0;
-  for (std::size_t p = 0; p < demand.pairs.size(); ++p) {
-    avail *= patterns_[static_cast<std::size_t>(demand.pairs[p].pair)]
-                 .availability(alloc[p], demand.pairs[p].mbps);
-  }
-  return avail;
-}
-
-bool AvailabilityEvaluator::satisfied(const Demand& demand,
-                                      const Allocation& alloc) const {
-  return availability(demand, alloc) + 1e-12 >= demand.availability_target;
-}
-
 TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
                          std::span<const Demand> demands, bool use_recovery) {
   TeEvaluation eval;
@@ -45,9 +18,12 @@ TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
   const TunnelCatalog& catalog = te.tunnel_catalog();
   const auto allocs = te.allocate(demands);
 
-  const AvailabilityEvaluator evaluator(topo, catalog);
   for (std::size_t i = 0; i < demands.size(); ++i) {
-    if (evaluator.satisfied(demands[i], allocs[i])) ++eval.satisfied_count;
+    if (obs::availability_target_met(
+            achieved_availability(topo, catalog, demands[i], allocs[i]),
+            demands[i].availability_target)) {
+      ++eval.satisfied_count;
+    }
   }
   eval.satisfaction_fraction =
       static_cast<double>(eval.satisfied_count) / eval.demand_count;
@@ -64,25 +40,13 @@ TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
   // scored the way run_testbed_sim scores one second with that link down:
   // the ingress offers BackupPlanner::enforce under recovery and the
   // primaries, rescaled proportionally, otherwise; a demand keeps full
-  // profit when every pair's delivered ratio is interval_satisfied.
+  // profit when every pair's delivered ratio is interval_satisfied. The
+  // same score with nothing down is the no-failure profit.
   const double baseline = full_profit(demands);
   const RescalePolicy rescale =
       use_recovery ? RescalePolicy::kBackup : RescalePolicy::kProportional;
-  BackupPlanner planner(topo, catalog);
-  double weighted_profit = 0.0;
-  double weight = 0.0;
-  for (LinkId e = 0; e < topo.link_count(); ++e) {
-    const double w = topo.link(e).failure_prob;
-    if (w <= 0.0) continue;
-    if (usage[static_cast<std::size_t>(e)] <= 1e-9) {
-      weighted_profit += w * baseline;  // failure doesn't touch traffic
-      weight += w;
-      continue;
-    }
-    const LinkId failed[] = {e};
-    const std::span<const Allocation> table =
-        use_recovery ? planner.enforce(demands, allocs, failed)
-                     : std::span<const Allocation>(allocs);
+  const auto kept_profit = [&](std::span<const Allocation> table,
+                               std::span<const LinkId> failed) {
     const auto delivered = deliver_second(topo, catalog, demands, table,
                                           failed, rescale);
     std::vector<char> ok(demands.size(), 1);
@@ -94,7 +58,29 @@ TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
         }
       }
     }
-    weighted_profit += w * total_profit(demands, ok);
+    return total_profit(demands, ok);
+  };
+  const double no_failure_profit = kept_profit(allocs, {});
+  if (baseline > 0.0) {
+    eval.no_failure_profit_fraction = no_failure_profit / baseline;
+  }
+  BackupPlanner planner(topo, catalog);
+  double weighted_profit = 0.0;
+  double weight = 0.0;
+  for (LinkId e = 0; e < topo.link_count(); ++e) {
+    const double w = topo.link(e).failure_prob;
+    if (w <= 0.0) continue;
+    if (usage[static_cast<std::size_t>(e)] <= 1e-9) {
+      // No traffic crosses the link: the second is the no-failure one.
+      weighted_profit += w * no_failure_profit;
+      weight += w;
+      continue;
+    }
+    const LinkId failed[] = {e};
+    const std::span<const Allocation> table =
+        use_recovery ? planner.enforce(demands, allocs, failed)
+                     : std::span<const Allocation>(allocs);
+    weighted_profit += w * kept_profit(table, failed);
     weight += w;
   }
   eval.post_failure_profit_fraction =

@@ -13,44 +13,32 @@
 #include "baselines/te.h"
 #include "core/admission.h"
 #include "core/scheduling.h"
-#include "scenario/pattern.h"
 #include "sim/engine.h"
 #include "util/stats.h"
 
 namespace bate {
 
-/// Caches per-pair reference pattern distributions for a catalog and
-/// evaluates the hard availability of allocations.
-class AvailabilityEvaluator {
- public:
-  AvailabilityEvaluator(const Topology& topo, const TunnelCatalog& catalog);
-
-  /// Probability that every pair of the demand receives full bandwidth.
-  double availability(const Demand& demand, const Allocation& alloc) const;
-  /// availability >= the demand's target.
-  bool satisfied(const Demand& demand, const Allocation& alloc) const;
-
- private:
-  const Topology* topo_;
-  const TunnelCatalog* catalog_;
-  std::vector<PatternDistribution> patterns_;
-};
-
 struct TeEvaluation {
   std::string name;
   int demand_count = 0;
+  /// Demands whose allocation meets their target under the exact failure
+  /// model (achieved_availability, within obs::kAvailabilityTol).
   int satisfied_count = 0;
   double satisfaction_fraction = 1.0;
   double mean_link_utilization = 0.0;
+  /// Profit kept with no link down, relative to the full profit of every
+  /// demand: what the allocation itself falls short by.
+  double no_failure_profit_fraction = 1.0;
   /// Expected profit conditioned on one link failure, after the policy's
-  /// failure reaction (Fig 15), relative to the no-failure profit.
+  /// failure reaction (Fig 15), relative to the full profit of every demand.
   double post_failure_profit_fraction = 1.0;
 };
 
-/// Allocates `demands` with the scheme and scores it. Each single-link
-/// failure is scored through the simulator's data plane (deliver_second):
-/// under `use_recovery` the ingress offers BackupPlanner::enforce, otherwise
-/// the primaries rescaled proportionally.
+/// Allocates `demands` with the scheme and scores it. The no-failure second
+/// and each single-link failure are scored through the simulator's data
+/// plane (deliver_second): under a failure with `use_recovery` the ingress
+/// offers BackupPlanner::enforce, otherwise the primaries rescaled
+/// proportionally.
 TeEvaluation evaluate_te(const Topology& topo, const TeScheme& te,
                          std::span<const Demand> demands, bool use_recovery);
 

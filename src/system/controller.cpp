@@ -35,6 +35,7 @@ struct ControllerMetrics {
   obs::Histogram& fanout_us;
   // Admission-pipeline metrics (DESIGN.md Sec 10).
   obs::Counter& shed;
+  obs::Counter& invalid;
   obs::Counter& duplicates;
   obs::Counter& dropped_dead;
   obs::Gauge& queue_depth;
@@ -56,6 +57,7 @@ struct ControllerMetrics {
         reg.gauge("bate_controller_peers"),
         reg.histogram("bate_controller_fanout_us"),
         reg.counter("bate_admission_shed_total"),
+        reg.counter("bate_admission_invalid_total"),
         reg.counter("bate_admission_duplicate_total"),
         reg.counter("bate_admission_dropped_dead_total"),
         reg.gauge("bate_admission_queue_depth"),
@@ -82,6 +84,7 @@ Controller::Controller(const Topology& topo, const TunnelCatalog& catalog,
   base_offered_ = m.offered.value();
   base_admitted_ = m.admitted.value();
   base_shed_ = m.shed.value();
+  base_invalid_ = m.invalid.value();
   base_failures_ = m.failures.value();
   base_updates_ = m.updates.value();
 }
@@ -353,6 +356,17 @@ void Controller::on_submit(Peer& peer, const SubmitDemandMsg& submit,
                                     AdmissionStatus::kDuplicate, 0.0});
     return;
   }
+  // A demand admission cannot serve (unknown pair, bad numbers, more
+  // tunnels than a joint pattern distribution covers) is answered here:
+  // admission asserts these preconditions.
+  if (const char* defect = demand_defect(scheduler_.catalog(), submit.demand)) {
+    m.invalid.inc();
+    BATE_LOG_EVERY_N(kWarn, "controller", 1024)
+        << "rejecting demand " << submit.demand.id << ": " << defect;
+    send_to(peer, AdmissionReplyMsg{rid, submit.demand.id,
+                                    AdmissionStatus::kRejected, 0.0});
+    return;
+  }
   const std::int64_t now = obs::now_us();
   if (limiter_) {
     const double retry_ms = limiter_->acquire(tenant_of(peer), now);
@@ -561,6 +575,7 @@ ControllerStats Controller::stats() const {
   s.demands_offered = static_cast<int>(m.offered.value() - base_offered_);
   s.demands_admitted = static_cast<int>(m.admitted.value() - base_admitted_);
   s.demands_shed = static_cast<int>(m.shed.value() - base_shed_);
+  s.demands_invalid = static_cast<int>(m.invalid.value() - base_invalid_);
   s.link_failures_handled =
       static_cast<int>(m.failures.value() - base_failures_);
   s.allocation_updates_sent =

@@ -58,6 +58,8 @@ struct ControllerStats {
   int demands_offered = 0;
   int demands_admitted = 0;
   int demands_shed = 0;
+  /// Rejected at ingress for failing the admission preconditions.
+  int demands_invalid = 0;
   int link_failures_handled = 0;
   int allocation_updates_sent = 0;
 };
@@ -212,6 +214,7 @@ class Controller {
   std::int64_t base_offered_ = 0;
   std::int64_t base_admitted_ = 0;
   std::int64_t base_shed_ = 0;
+  std::int64_t base_invalid_ = 0;
   std::int64_t base_failures_ = 0;
   std::int64_t base_updates_ = 0;
 };

@@ -31,8 +31,7 @@ void encode_demand(BufferWriter& w, const Demand& d) {
 Demand decode_demand(BufferReader& r) {
   Demand d;
   d.id = r.i32();
-  const std::uint32_t pairs = r.u32();
-  d.pairs.resize(pairs);
+  d.pairs.resize(r.count(4 + 8));  // i32 pair, f64 mbps
   for (auto& p : d.pairs) {
     p.pair = r.i32();
     p.mbps = r.f64();
@@ -40,8 +39,7 @@ Demand decode_demand(BufferReader& r) {
   d.availability_target = r.f64();
   d.charge = r.f64();
   d.refund_fraction = r.f64();
-  const std::uint32_t tiers = r.u32();
-  d.refund_tiers.resize(tiers);
+  d.refund_tiers.resize(r.count(8 + 8));  // f64 below, f64 fraction
   for (auto& tier : d.refund_tiers) {
     tier.below = r.f64();
     tier.fraction = r.f64();

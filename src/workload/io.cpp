@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/admission.h"
+
 namespace bate {
 
 namespace {
@@ -123,6 +125,12 @@ std::vector<Demand> demands_from_text(const Topology& topo,
     // Unit-price default applies once the full pair list is known.
     if (explicit_charge.count(id) == 0 && d.charge == 0.0) {
       d.charge = d.total_mbps();
+    }
+    // What admission would otherwise assert on: too many tunnels across the
+    // demand's pairs, or a refund fraction outside [0, 1].
+    if (const char* defect = demand_defect(catalog, d)) {
+      throw std::invalid_argument("demand text, demand " + std::to_string(id) +
+                                  ": " + defect);
     }
     demands.push_back(d);
   }

@@ -23,7 +23,8 @@ std::string demands_to_text(const Topology& topo, const TunnelCatalog& catalog,
 
 /// Parses the text format against a topology/catalog. Throws
 /// std::invalid_argument with a line number on malformed input, unknown
-/// node labels, or pairs absent from the catalog.
+/// node labels, or pairs absent from the catalog, and with the demand id on
+/// a demand admission cannot take (demand_defect, core/admission.h).
 std::vector<Demand> demands_from_text(const Topology& topo,
                                       const TunnelCatalog& catalog,
                                       const std::string& text);

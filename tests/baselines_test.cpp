@@ -126,10 +126,13 @@ TEST(Teavar, Fig2cOneSizeFitsAll) {
   EXPECT_NEAR(pair_total(allocs[0]), 6000.0, 100.0);
   EXPECT_NEAR(pair_total(allocs[1]), 12000.0, 100.0);
 
-  const AvailabilityEvaluator eval(fx.topo, fx.catalog);
-  const double a1 = eval.availability(fx.demands[0], allocs[0]);
+  const double a1 =
+      achieved_availability(fx.topo, fx.catalog, fx.demands[0], allocs[0]);
   EXPECT_LT(a1, 0.99);  // violates user1's target, as the paper argues
-  EXPECT_TRUE(eval.satisfied(fx.demands[1], allocs[1]));
+  EXPECT_GE(
+      achieved_availability(fx.topo, fx.catalog, fx.demands[1], allocs[1]) +
+          1e-12,
+      0.90);
 }
 
 TEST(Swan, MaximizesThroughput) {

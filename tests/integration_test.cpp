@@ -168,7 +168,9 @@ TEST(Pipeline, EndToEndBateFlow) {
   const auto& set = admission.admitted();
   const auto& allocs = admission.allocations();
   for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_GE(scheduler.achieved_availability(set[i], allocs[i]) + 1e-9,
+    EXPECT_GE(achieved_availability(scheduler.topology(), scheduler.catalog(),
+                                    set[i], allocs[i]) +
+                  1e-9,
               set[i].availability_target)
         << "demand " << set[i].id;
   }

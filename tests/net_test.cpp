@@ -2,18 +2,48 @@
 // split/partial/oversized frames), sockets over loopback, and the event
 // loop.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <thread>
 
 #include "net/codec.h"
 #include "net/event_loop.h"
 #include "net/framing.h"
 #include "net/socket.h"
+#include "system/protocol.h"
 #include "util/rng.h"
 
 namespace bate {
 namespace {
+
+/// Peak resident set size of this process, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+/// Runs `decode` on `payload` in a child process and exits 0 there when it
+/// threw std::out_of_range without raising the child's peak RSS by 16 MiB.
+void expect_rejected_without_allocating(
+    const std::vector<std::uint8_t>& payload,
+    void (*decode)(const std::vector<std::uint8_t>&)) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const long before = peak_rss_kib();
+        bool threw = false;
+        try {
+          decode(payload);
+        } catch (const std::out_of_range&) {
+          threw = true;
+        }
+        std::_Exit(threw && peak_rss_kib() - before < 16 * 1024 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
 
 TEST(Codec, RoundTripsScalars) {
   BufferWriter w;
@@ -49,6 +79,28 @@ TEST(Codec, ThrowsOnTruncatedString) {
   w.u32(100);  // announces a 100-byte string with no payload
   BufferReader r(w.bytes());
   EXPECT_THROW(r.str(), std::out_of_range);
+}
+
+TEST(CodecDeathTest, HostileCountsAllocateNothing) {
+  // Counts that announce far more elements than the bytes left: 2^23
+  // doubles (64 MiB) in a 4-byte vector, and 2^22 pairs (64 MiB of
+  // PairDemand) in a 17-byte SubmitDemand.
+  BufferWriter vec;
+  vec.u32(1u << 23);
+  expect_rejected_without_allocating(
+      vec.bytes(), [](const std::vector<std::uint8_t>& bytes) {
+        BufferReader(bytes).f64_vec();
+      });
+  BufferWriter submit;
+  submit.u8(static_cast<std::uint8_t>(MsgType::kSubmitDemand));
+  submit.u64(1);        // request_id
+  submit.i32(7);        // demand id
+  submit.u32(1u << 22);  // pair count
+  ASSERT_EQ(submit.bytes().size(), 17u);
+  expect_rejected_without_allocating(
+      submit.bytes(), [](const std::vector<std::uint8_t>& bytes) {
+        decode_message(bytes);
+      });
 }
 
 TEST(Framing, EncodeThenDecode) {

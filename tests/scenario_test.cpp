@@ -1,10 +1,16 @@
 // Tests for the failure-scenario substrate: enumeration probabilities,
 // pruning residuals, Poisson-binomial DP, pattern projection (exact and
-// pruned) cross-checked against brute-force scenario enumeration, and the
+// pruned) cross-checked against brute-force scenario enumeration and against
+// the enumeration of every down set of the tunnels' link union, and the
 // Monte-Carlo samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
+#include <ostream>
+#include <string>
 
 #include "routing/tunnels.h"
 #include "scenario/pattern.h"
@@ -236,19 +242,114 @@ TEST(Pattern, AvailabilityOfAllocation) {
       pa + pb - pa * pb, 1e-9);
 }
 
-TEST(Pattern, ReferenceFallsBackForLargeUnions) {
+TEST(Pattern, ExactHandlesLargeUnions) {
+  // Sixteen tunnels whose union has more links than a 2^|U| enumeration
+  // could visit.
   const Topology t = att();
   const auto catalog =
-      TunnelCatalog::build(t, std::vector<SdPair>{{0, 12}}, 4);
-  // Must not throw regardless of union size.
-  const auto dist = reference_patterns_for(t, catalog.tunnels(0));
-  EXPECT_EQ(dist.tunnel_count,
-            static_cast<int>(catalog.tunnels(0).size()));
+      TunnelCatalog::build(t, std::vector<SdPair>{{0, 12}}, 16);
+  const auto& tunnels = catalog.tunnels(0);
+  ASSERT_GT(tunnel_link_union(tunnels).size(), 24u);
+  const auto dist = exact_patterns(t, tunnels);
+  EXPECT_EQ(dist.tunnel_count, static_cast<int>(tunnels.size()));
   double total = 0.0;
   for (double p : dist.prob) total += p;
-  EXPECT_GT(total, 0.999);  // quasi-exact: tiny residual allowed
-  EXPECT_LE(total, 1.0 + 1e-9);
+  EXPECT_NEAR(total, 1.0, 1e-12);
+  // The pruned scenario set is a subset of all scenarios.
+  const auto pruned = pruned_patterns(t, tunnels, 6);
+  for (std::size_t s = 0; s < dist.prob.size(); ++s) {
+    EXPECT_LE(pruned.prob[s], dist.prob[s] + 1e-15) << "pattern " << s;
+  }
 }
+
+/// The pattern distribution by enumerating all 2^|U| down sets of the
+/// tunnels' link union U, each weighted by its probability and, when
+/// pruned to y failures, by the chance that at most y - |down set| links
+/// outside U fail: the oracle of exact_patterns and pruned_patterns, and
+/// the computation pruned_patterns must match bit for bit.
+PatternDistribution enumerated_patterns(const Topology& t,
+                                        std::span<const Tunnel> tunnels,
+                                        std::optional<int> y) {
+  const auto uni = tunnel_link_union(tunnels);
+  std::vector<std::uint64_t> uses(tunnels.size(), 0);  // union links per tunnel
+  for (std::size_t k = 0; k < tunnels.size(); ++k) {
+    for (LinkId id : tunnels[k].links) {
+      const auto i = std::lower_bound(uni.begin(), uni.end(), id) - uni.begin();
+      uses[k] |= std::uint64_t{1} << i;
+    }
+  }
+  std::vector<double> outside_cum;  // P(<= k failures outside the union)
+  if (y) {
+    std::vector<char> skip(static_cast<std::size_t>(t.link_count()), 0);
+    for (LinkId id : uni) skip[static_cast<std::size_t>(id)] = 1;
+    outside_cum = failure_count_distribution(t, *y, skip);
+    for (std::size_t k = 1; k < outside_cum.size(); ++k) {
+      outside_cum[k] += outside_cum[k - 1];
+    }
+  }
+  PatternDistribution dist;
+  dist.tunnel_count = static_cast<int>(tunnels.size());
+  dist.prob.assign(std::size_t{1} << tunnels.size(), 0.0);
+  for (std::uint64_t down = 0; down < (std::uint64_t{1} << uni.size());
+       ++down) {
+    const int failed = std::popcount(down);
+    if (y && failed > *y) continue;
+    double p = 1.0;
+    for (std::size_t i = 0; i < uni.size(); ++i) {
+      const double x = t.link(uni[i]).failure_prob;
+      p *= ((down >> i) & 1u) ? x : 1.0 - x;
+    }
+    if (y) p *= outside_cum[static_cast<std::size_t>(*y - failed)];
+    PatternMask s = 0;
+    for (std::size_t k = 0; k < tunnels.size(); ++k) {
+      if ((uses[k] & down) == 0) s |= PatternMask{1} << k;
+    }
+    dist.prob[s] += p;
+  }
+  return dist;
+}
+
+struct CatalogTopology {
+  const char* name;
+  Topology (*make)();
+};
+
+void PrintTo(const CatalogTopology& c, std::ostream* os) { *os << c.name; }
+
+class PatternProjection : public ::testing::TestWithParam<CatalogTopology> {};
+
+TEST_P(PatternProjection, MatchesEnumerationOnEveryCatalogPair) {
+  const Topology t = GetParam().make();
+  const auto catalog = TunnelCatalog::build_all_pairs(t, 4);
+  for (int k = 0; k < catalog.pair_count(); ++k) {
+    const auto& tunnels = catalog.tunnels(k);
+    const std::string pair = "pair " + std::to_string(k);
+    const auto exact = exact_patterns(t, tunnels);
+    const auto want = enumerated_patterns(t, tunnels, std::nullopt);
+    ASSERT_EQ(exact.prob.size(), want.prob.size()) << pair;
+    for (std::size_t s = 0; s < exact.prob.size(); ++s) {
+      EXPECT_NEAR(exact.prob[s], want.prob[s], 1e-14)
+          << pair << " exact pattern " << s;
+    }
+    // The scheduling LP's coefficients: the same bits as the enumeration.
+    for (int y = 1; y <= 4; ++y) {
+      EXPECT_EQ(pruned_patterns(t, tunnels, y).prob,
+                enumerated_patterns(t, tunnels, y).prob)
+          << pair << " y=" << y;
+    }
+    EXPECT_EQ(pruned_patterns(t, tunnels, t.link_count()).prob, exact.prob)
+        << pair;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Catalogs, PatternProjection,
+    ::testing::Values(CatalogTopology{"testbed6", testbed6},
+                      CatalogTopology{"b4", b4}, CatalogTopology{"fiti", fiti},
+                      CatalogTopology{"ibm", ibm}, CatalogTopology{"att", att}),
+    [](const ::testing::TestParamInfo<CatalogTopology>& param) {
+      return std::string(param.param.name);
+    });
 
 // --- Samplers --------------------------------------------------------------
 

@@ -231,16 +231,33 @@ TEST(Engine, VerdictsAreTheControlPlanesOnAFig07bWorkload) {
   EXPECT_LT(admitted, static_cast<int>(next));
 }
 
-TEST(Experiment, EvaluatorMatchesSchedulerAvailability) {
+TEST(Experiment, AchievedAvailabilityMatchesPairPatterns) {
+  // Single pair: the joint availability is the pair's own exact pattern
+  // availability. Two pairs: both being whole needs links up, so the two
+  // events correlate positively and the joint mass is at least the
+  // product of the pairs' availabilities.
   EngineFixture fx;
   const std::vector<Demand> demands = {make_demand(0, 0, 200.0, 0.99)};
   const auto r = fx.scheduler.schedule(demands);
   ASSERT_TRUE(r.feasible);
-  const AvailabilityEvaluator eval(fx.topo, fx.catalog);
-  EXPECT_NEAR(eval.availability(demands[0], r.alloc[0]),
-              fx.scheduler.achieved_availability(demands[0], r.alloc[0]),
-              1e-9);
-  EXPECT_TRUE(eval.satisfied(demands[0], r.alloc[0]));
+  const double single =
+      achieved_availability(fx.topo, fx.catalog, demands[0], r.alloc[0]);
+  EXPECT_EQ(single, exact_patterns(fx.topo, fx.catalog.tunnels(0))
+                        .availability(r.alloc[0][0], 200.0));
+  EXPECT_GE(single + 1e-12, 0.99);
+
+  Demand both = make_demand(1, 0, 200.0, 0.9);
+  both.pairs.push_back({1, 100.0});
+  const auto rb = fx.scheduler.schedule(std::vector<Demand>{both});
+  ASSERT_TRUE(rb.feasible);
+  double product = 1.0;
+  for (std::size_t p = 0; p < both.pairs.size(); ++p) {
+    product *= exact_patterns(fx.topo, fx.catalog.tunnels(both.pairs[p].pair))
+                   .availability(rb.alloc[0][p], both.pairs[p].mbps);
+  }
+  EXPECT_GE(achieved_availability(fx.topo, fx.catalog, both, rb.alloc[0]) +
+                1e-12,
+            product);
 }
 
 TEST(Experiment, EvaluateTeProducesSaneNumbers) {
@@ -252,6 +269,8 @@ TEST(Experiment, EvaluateTeProducesSaneNumbers) {
   EXPECT_GE(eval.satisfaction_fraction, 0.0);
   EXPECT_LE(eval.satisfaction_fraction, 1.0);
   EXPECT_GT(eval.mean_link_utilization, 0.0);
+  // BATE serves both in full, and no failure adds profit to that.
+  EXPECT_DOUBLE_EQ(eval.no_failure_profit_fraction, 1.0);
   EXPECT_GT(eval.post_failure_profit_fraction, 0.5);
   EXPECT_LE(eval.post_failure_profit_fraction, 1.0 + 1e-9);
 }

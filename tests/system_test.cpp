@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -494,8 +495,28 @@ TEST_F(SystemFixture, SurvivesMalformedPeers) {
       }
     }));
   }
-  // Regular service continues.
+  // Demands admission cannot serve are rejected at ingress: an unknown
+  // pair, a NaN bandwidth, beta above 1, no pairs, and more tunnels than
+  // one joint pattern distribution covers.
+  std::vector<Demand> invalid = {
+      make_demand(11, catalog.pair_count(), 100.0, 0.9),
+      make_demand(12, 0, std::nan(""), 0.9), make_demand(13, 0, 100.0, 1.5),
+      make_demand(14, 0, 100.0, 0.9), make_demand(15, 0, 10.0, 0.9)};
+  invalid[3].pairs.clear();
+  std::size_t tunnels = catalog.tunnels(0).size();
+  for (int k = 1; tunnels <= std::size_t{kMaxPatternTunnels}; ++k) {
+    invalid[4].pairs.push_back({k, 10.0});
+    tunnels += catalog.tunnels(k).size();
+  }
   UserClient user(controller->port());
+  for (const Demand& d : invalid) {
+    user.submit_async(d);
+    const UserClient::Reply reply = user.wait_reply();
+    EXPECT_EQ(reply.id, d.id);
+    EXPECT_EQ(reply.status, AdmissionStatus::kRejected);
+  }
+  EXPECT_EQ(controller->stats().demands_invalid, 5);
+  // Regular service continues.
   EXPECT_TRUE(user.submit(make_demand(1, 0, 100.0, 0.95)));
 }
 

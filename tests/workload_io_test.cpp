@@ -74,7 +74,13 @@ TEST(DemandIo, RejectsMalformedInput) {
       "demand 1 DC1 DC2 -5 0.9\n",            // bad bandwidth
       "demand 1 DC1 DC2 10 1.5\n",            // bad availability
       "demand 1 DC1 DC2 10 0.9 bogus\n",      // malformed option
-      "demand 1 DC1 DC2 10 0.9 charge=abc\n"  // bad number
+      "demand 1 DC1 DC2 10 0.9 charge=abc\n", // bad number
+      "demand 1 DC1 DC2 10 0.9 refund=1.5\n", // refund outside [0, 1]
+      "demand 1 DC1 DC2 10 0.9 refund=nan\n",
+      // Six pairs of four tunnels each: 24 tunnels, past kMaxPatternTunnels.
+      "demand 1 DC1 DC2 10 0.9\ndemand 1 DC1 DC3 10 0.9\n"
+      "demand 1 DC1 DC4 10 0.9\ndemand 1 DC1 DC5 10 0.9\n"
+      "demand 1 DC1 DC6 10 0.9\ndemand 1 DC2 DC3 10 0.9\n",
   };
   for (const char* text : bad) {
     EXPECT_THROW(demands_from_text(fx.topo, fx.catalog, text),

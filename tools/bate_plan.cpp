@@ -52,7 +52,7 @@ int plan(const Topology& topo, const std::vector<Demand>& demands,
   const auto& allocs = control.primaries();
   for (std::size_t i = 0; i < admitted.size(); ++i) {
     const double avail =
-        scheduler.achieved_availability(admitted[i], allocs[i]);
+        achieved_availability(topo, catalog, admitted[i], allocs[i]);
     for (std::size_t p = 0; p < admitted[i].pairs.size(); ++p) {
       const auto& tunnels = catalog.tunnels(admitted[i].pairs[p].pair);
       for (std::size_t t = 0; t < tunnels.size(); ++t) {

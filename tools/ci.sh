@@ -20,7 +20,8 @@
 #                  tiny rep count; validates the emitted BENCH json against
 #                  the schema (tools/bench_report.h), diffs both against the
 #                  committed baselines (timing for the solver bench; node
-#                  counts and warm timing for the MILP bench); bench_system
+#                  counts and warm timing for the MILP bench) and holds each
+#                  scheduler-construction case under a CPU ceiling; bench_system
 #                  at a reduced arrival count with an absolute floor on
 #                  admissions/sec and a ceiling on p99 reply latency; the
 #                  SLO-ledger crosscheck gate (measured availability must
@@ -133,6 +134,14 @@ sys.exit(0 if hit >= 0.9 and pivots <= 300 else 1)'
         "build/dev/tools/bench_report" --compare "$ROOT/BENCH_solver.json" \
           "$smoke_json" --max-regress 3.0
       fi
+      # Per-case ceiling on scheduler construction at y=3 (the construct_*
+      # cases are the only ones carrying cpu_ms). The median gate above
+      # passes a slowdown confined to five of its cases, such as a return
+      # of the 2^|U| pattern enumeration: IBM and FITI took 160 and 507 ms
+      # of CPU with it, about 21 and 14 ms without, and ATT, the slowest case
+      # now, takes about 32 ms.
+      "build/dev/tools/bench_report" --max "$smoke_json" \
+        --metric cpu_ms --ceiling 120
       rm -f "$smoke_json"
       smoke_json=$(mktemp /tmp/BENCH_milp_smoke.XXXXXX.json)
       "build/dev/bench/bench_milp" --reps 1 --out "$smoke_json"
