@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -50,21 +49,6 @@ void record_schedule_round(const Model& model, long demand_count,
   scenarios.set(static_cast<double>(scenario_count));
   rows.set(static_cast<double>(model.constraint_count()));
   cols.set(static_cast<double>(model.variable_count()));
-}
-
-/// Bitwise equality: the repair memo reuses a result only on identical bits.
-bool same_bits(std::span<const double> a, std::span<const double> b) {
-  return a.size() == b.size() &&
-         (a.empty() || std::memcmp(a.data(), b.data(),
-                                   a.size() * sizeof(double)) == 0);
-}
-
-bool same_bits(const Allocation& a, const Allocation& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    if (!same_bits(a[p], b[p])) return false;
-  }
-  return true;
 }
 
 /// Tie-break weight: how strongly a demand should prefer reliable tunnels.
@@ -192,6 +176,7 @@ std::vector<DemandIdentity> ScheduleBasisCache::map_onto(
   std::vector<int> col_to(have_old ? sz(n0) : 0, -1);
   std::vector<int> row_to(have_old ? sz(m0) : 0, -1);
   std::vector<DemandIdentity> identity(next.size(), DemandIdentity::kNew);
+  std::unordered_map<DemandId, RepairMemo> kept_repairs;
   bool any_col = false;
   for (std::size_t i = 0; i < next.size(); ++i) {
     if (count[next[i].id] > 1) {
@@ -199,10 +184,19 @@ std::vector<DemandIdentity> ScheduleBasisCache::map_onto(
       continue;
     }
     const auto it = prev.find(next[i].id);
-    if (!have_old || it == prev.end() || it->second < 0) continue;
+    if (it == prev.end() || it->second < 0 ||
+        !(demands[sz(it->second)] == next[i])) {
+      continue;
+    }
+    // An unconstrained repair reads only the Demand, so it survives a
+    // round whose basis did not (an infeasible LP's, say).
+    if (const auto r = repairs.find(next[i].id); r != repairs.end()) {
+      kept_repairs.insert(repairs.extract(r));
+    }
+    if (!have_old) continue;
     const DemandBlocks& a = blocks[sz(it->second)];
     const DemandBlocks& b = layout.demands[i];
-    if (!(demands[sz(it->second)] == next[i]) || a.g_count != b.g_count ||
+    if (a.g_count != b.g_count ||
         a.cover_count != b.cover_count || a.b_count != b.b_count ||
         a.avail_count != b.avail_count || a.g_first + a.g_count > n0 ||
         a.b_first + a.b_count > n0 || a.cover_first + a.cover_count > m0 ||
@@ -296,6 +290,7 @@ std::vector<DemandIdentity> ScheduleBasisCache::map_onto(
   demands.assign(next.begin(), next.end());
   blocks = layout.demands;
   link_rows = layout.link_rows;
+  repairs = std::move(kept_repairs);
   return identity;
 }
 
@@ -565,10 +560,7 @@ ScheduleResult TrafficScheduler::schedule(
   ScheduleResult result;
   result.status = sol.status;
   result.feasible = sol.optimal();
-  if (!result.feasible) {
-    if (basis != nullptr) basis->repairs.clear();  // nothing repaired
-    return result;
-  }
+  if (!result.feasible) return result;
 
   result.alloc.resize(demands.size());
   std::size_t flat = 0;
@@ -649,13 +641,96 @@ double TrafficScheduler::pattern_hard_availability(
   return hard_availability(dp, demand, alloc, 1e-6);
 }
 
+RepairMemo TrafficScheduler::solve_repair(
+    const Demand& d, std::span<const double> residual) const {
+  const auto dp = demand_patterns(d);
+  // Tiny per-demand hard MILP: q_S binary per pattern.
+  Model model;
+  model.set_sense(Sense::kMinimize);
+  std::vector<std::pair<int, int>> gv(d.pairs.size());  // first var, count
+  for (std::size_t p = 0; p < d.pairs.size(); ++p) {
+    const auto& tunnels = catalog_->tunnels(d.pairs[p].pair);
+    const auto& avail =
+        tunnel_avail_[static_cast<std::size_t>(d.pairs[p].pair)];
+    gv[p] = {model.variable_count(), static_cast<int>(tunnels.size())};
+    std::vector<Term> full;
+    for (std::size_t t = 0; t < tunnels.size(); ++t) {
+      const int v = model.add_variable(
+          0.0, kInfinity,
+          d.pairs[p].mbps *
+              (1.0 + cfg_.reliability_epsilon * (1.0 - avail[t]) *
+                         (1.0 +
+                          availability_weight(d.availability_target))));
+      full.push_back({v, 1.0});
+    }
+    model.add_constraint(std::move(full), Relation::kGreaterEqual, 1.0);
+  }
+  const auto patterns = static_cast<PatternMask>(dp->dist.prob.size());
+  std::vector<Term> avail_row;
+  for (PatternMask s = 1; s < patterns; ++s) {
+    if (dp->dist.prob[s] <= 0.0) continue;
+    const int q = model.add_binary(0.0);
+    avail_row.push_back(
+        {q, dp->dist.prob[s] * availability_row_scale(d.availability_target)});
+    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
+      std::vector<Term> row{{q, -1.0}};
+      for (int t = dp->ranges[p].first; t < dp->ranges[p].second; ++t) {
+        if ((s >> t) & 1u) {
+          row.push_back({gv[p].first + (t - dp->ranges[p].first), 1.0});
+        }
+      }
+      model.add_constraint(std::move(row), Relation::kGreaterEqual, 0.0);
+    }
+  }
+  model.add_constraint(
+      std::move(avail_row), Relation::kGreaterEqual,
+      d.availability_target * availability_row_scale(d.availability_target));
+  if (!residual.empty()) {
+    // Residual capacity over the links this demand's tunnels touch.
+    std::size_t next_resid = 0;
+    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
+      const auto& tunnels = catalog_->tunnels(d.pairs[p].pair);
+      for (LinkId e : tunnel_link_union(tunnels)) {
+        std::vector<Term> row;
+        for (std::size_t t = 0; t < tunnels.size(); ++t) {
+          if (tunnels[t].uses(e)) {
+            row.push_back({gv[p].first + static_cast<int>(t), d.pairs[p].mbps});
+          }
+        }
+        BATE_ASSERT_MSG(next_resid < residual.size(),
+                        "repair: residual shorter than the tunnels' links");
+        model.add_constraint(std::move(row), Relation::kLessEqual,
+                             residual[next_resid++]);
+      }
+    }
+  }
+
+  BranchBoundOptions bnb;
+  bnb.node_limit = 4000;
+  // A fresh model per call, so no basis to restart from: the pass solves
+  // each demand's unconstrained repair once and keeps it, and runs the
+  // capacitated one only when that does not fit. Nodes inside the solve
+  // still warm-start from their parents.
+  const Solution fix = solve_milp(model, bnb);
+  RepairMemo out;
+  out.status = fix.status;
+  if (fix.status != SolveStatus::kOptimal) return out;
+  out.repaired.resize(d.pairs.size());
+  for (std::size_t p = 0; p < d.pairs.size(); ++p) {
+    out.repaired[p].assign(static_cast<std::size_t>(gv[p].second), 0.0);
+    for (int t = 0; t < gv[p].second; ++t) {
+      out.repaired[p][static_cast<std::size_t>(t)] =
+          std::max(0.0, fix.x[static_cast<std::size_t>(gv[p].first + t)]) *
+          d.pairs[p].mbps;
+    }
+  }
+  return out;
+}
+
 void TrafficScheduler::repair_hard_availability(
     std::span<const Demand> demands, ScheduleResult& result,
     std::span<const double> capacity_override, ScheduleBasisCache* cache,
     std::span<const DemandIdentity> identity) const {
-  // This round's repairs, which replace the cache's: a demand not repaired
-  // this round drops out.
-  std::unordered_map<DemandId, RepairMemo> memo;
   // Residual capacity under the whole LP allocation.
   auto usage = link_usage(*topo_, *catalog_, demands, result.alloc);
   auto cap_of = [&](LinkId e) {
@@ -676,6 +751,10 @@ void TrafficScheduler::repair_hard_availability(
     }
   };
 
+  // Demands left below beta_d under the LP's model, and repairs settled
+  // without a capacitated MILP.
+  long below = 0;
+  long settled = 0;
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const Demand& d = demands[i];
     if (d.availability_target <= 0.0) continue;
@@ -712,130 +791,71 @@ void TrafficScheduler::repair_hard_availability(
         }
         if (can) best_possible += dp->dist.prob[s];
       }
-      if (best_possible + 1e-9 < d.availability_target) continue;
-    }
-
-    // Residual excluding this demand's own allocation, per (pair, link of
-    // the pair's tunnels) in the order the MILP's capacity rows take it.
-    apply_usage(d, result.alloc[i], -1.0);
-    std::vector<double> residual;
-    for (const PairDemand& pd : d.pairs) {
-      for (LinkId e : tunnel_link_union(catalog_->tunnels(pd.pair))) {
-        residual.push_back(
-            std::max(0.0, cap_of(e) - usage[static_cast<std::size_t>(e)]));
-      }
-    }
-    // The MILP reads only the demand and `residual`, and the pass keeps
-    // the LP allocation when the MILP fails, so equal bits in all three
-    // give last round's result exactly.
-    const bool remember =
-        cache != nullptr && identity[i] != DemandIdentity::kRepeated;
-    if (remember && identity[i] == DemandIdentity::kKept) {
-      const auto it = cache->repairs.find(d.id);
-      if (it != cache->repairs.end() &&
-          same_bits(it->second.lp, result.alloc[i]) &&
-          same_bits(it->second.residual, residual)) {
-        if (obs::enabled()) {
-          static obs::Counter& reused = obs::Registry::global().counter(
-              "bate_scheduler_repairs_reused_total");
-          reused.inc();
-        }
-        RepairMemo& entry = memo[d.id];
-        entry = std::move(it->second);
-        result.alloc[i] = entry.repaired;
-        apply_usage(d, result.alloc[i], 1.0);
+      if (best_possible + 1e-9 < d.availability_target) {
+        ++below;
         continue;
       }
     }
-    RepairMemo* entry = nullptr;
-    if (remember) {
-      entry = &memo[d.id];
-      entry->lp = result.alloc[i];
+
+    // The unconstrained repair: kept by the cache, else solved here.
+    // Capacity rows only shrink the feasible set, so when it is infeasible
+    // the capacitated MILP is too, and when its optimum fits the residual
+    // it is the capacitated optimum.
+    RepairMemo solved_here;
+    const RepairMemo* unconstrained = &solved_here;
+    if (cache != nullptr && identity[i] != DemandIdentity::kRepeated) {
+      const auto [it, fresh] = cache->repairs.try_emplace(d.id);
+      if (fresh) it->second = solve_repair(d);
+      unconstrained = &it->second;
+    } else {
+      solved_here = solve_repair(d);
     }
 
-    // Tiny per-demand hard MILP: q_S binary per pattern.
-    Model model;
-    model.set_sense(Sense::kMinimize);
-    std::vector<std::pair<int, int>> gv(d.pairs.size());  // first var, count
-    for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-      const auto& tunnels = catalog_->tunnels(d.pairs[p].pair);
-      const auto& avail =
-          tunnel_avail_[static_cast<std::size_t>(d.pairs[p].pair)];
-      gv[p] = {model.variable_count(), static_cast<int>(tunnels.size())};
-      std::vector<Term> full;
-      for (std::size_t t = 0; t < tunnels.size(); ++t) {
-        const int v = model.add_variable(
-            0.0, kInfinity,
-            d.pairs[p].mbps *
-                (1.0 + cfg_.reliability_epsilon * (1.0 - avail[t]) *
-                           (1.0 +
-                            availability_weight(d.availability_target))));
-        full.push_back({v, 1.0});
-      }
-      model.add_constraint(std::move(full), Relation::kGreaterEqual, 1.0);
-    }
-    const auto patterns = static_cast<PatternMask>(dp->dist.prob.size());
-    std::vector<Term> avail_row;
-    for (PatternMask s = 1; s < patterns; ++s) {
-      if (dp->dist.prob[s] <= 0.0) continue;
-      const int q = model.add_binary(0.0);
-      avail_row.push_back(
-          {q, dp->dist.prob[s] *
-                  availability_row_scale(d.availability_target)});
-      for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-        std::vector<Term> row{{q, -1.0}};
-        for (int t = dp->ranges[p].first; t < dp->ranges[p].second; ++t) {
-          if ((s >> t) & 1u) {
-            row.push_back({gv[p].first + (t - dp->ranges[p].first), 1.0});
-          }
-        }
-        model.add_constraint(std::move(row), Relation::kGreaterEqual, 0.0);
-      }
-    }
-    model.add_constraint(
-        std::move(avail_row), Relation::kGreaterEqual,
-        d.availability_target * availability_row_scale(d.availability_target));
-    // Residual capacity over the links this demand's tunnels touch.
-    std::size_t next_resid = 0;
+    // Residual excluding this demand's own allocation, per (pair, link of
+    // the pair's tunnels) in the order the MILP's capacity rows take it,
+    // and whether the unconstrained optimum fits each of those rows. The
+    // test takes no tolerance, so a taken optimum fits exactly.
+    apply_usage(d, result.alloc[i], -1.0);
+    std::vector<double> residual;
+    bool fits = unconstrained->status == SolveStatus::kOptimal;
     for (std::size_t p = 0; p < d.pairs.size(); ++p) {
       const auto& tunnels = catalog_->tunnels(d.pairs[p].pair);
       for (LinkId e : tunnel_link_union(tunnels)) {
-        std::vector<Term> row;
+        residual.push_back(
+            std::max(0.0, cap_of(e) - usage[static_cast<std::size_t>(e)]));
+        if (!fits) continue;
+        double load = 0.0;
         for (std::size_t t = 0; t < tunnels.size(); ++t) {
-          if (tunnels[t].uses(e)) {
-            row.push_back({gv[p].first + static_cast<int>(t), d.pairs[p].mbps});
-          }
+          if (tunnels[t].uses(e)) load += unconstrained->repaired[p][t];
         }
-        model.add_constraint(std::move(row), Relation::kLessEqual,
-                             residual[next_resid++]);
+        fits = load <= residual.back();
       }
     }
-
-    BranchBoundOptions bnb;
-    bnb.node_limit = 4000;
-    // cold-start: each demand builds a differently-shaped MILP (its own
-    // pattern set), so no basis survives between loop iterations. Nodes
-    // inside the solve still warm-start from their parents.
-    const Solution fix = solve_milp(model, bnb);
-    if (fix.status == SolveStatus::kOptimal) {
-      Allocation repaired(d.pairs.size());
-      for (std::size_t p = 0; p < d.pairs.size(); ++p) {
-        repaired[p].assign(static_cast<std::size_t>(gv[p].second), 0.0);
-        for (int t = 0; t < gv[p].second; ++t) {
-          repaired[p][static_cast<std::size_t>(t)] =
-              std::max(0.0, fix.x[static_cast<std::size_t>(gv[p].first + t)]) *
-              d.pairs[p].mbps;
-        }
+    if (fits) {
+      result.alloc[i] = unconstrained->repaired;
+      ++settled;
+    } else if (unconstrained->status == SolveStatus::kInfeasible) {
+      ++below;  // keeps the LP allocation, as the capacitated MILP would
+      ++settled;
+    } else {
+      RepairMemo fix = solve_repair(d, residual);
+      if (fix.status == SolveStatus::kOptimal) {
+        result.alloc[i] = std::move(fix.repaired);
+      } else {
+        ++below;
       }
-      result.alloc[i] = std::move(repaired);
-    }
-    if (entry != nullptr) {
-      entry->residual = std::move(residual);
-      entry->repaired = result.alloc[i];
     }
     apply_usage(d, result.alloc[i], 1.0);
   }
-  if (cache != nullptr) cache->repairs = std::move(memo);
+  if (obs::enabled()) {
+    auto& reg = obs::Registry::global();
+    static obs::Counter& reused =
+        reg.counter("bate_scheduler_repairs_reused_total");
+    static obs::Gauge& below_target =
+        reg.gauge("bate_scheduler_demands_below_target");
+    reused.inc(settled);
+    if (cache != nullptr) below_target.set(static_cast<double>(below));
+  }
 }
 
 double achieved_availability(const Topology& topo,

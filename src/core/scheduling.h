@@ -100,12 +100,12 @@ enum class DemandIdentity : unsigned char {
   kKept,      // unique id both rounds and the same Demand: its blocks map
 };
 
-/// One demand's last hard-repair pass: the inputs its repair MILP saw and
-/// the allocation the pass produced.
+/// A hard-repair MILP's outcome (TrafficScheduler::solve_repair). The
+/// cache keeps one per demand: its unconstrained repair, the MILP without
+/// residual-capacity rows, which reads only the Demand and the scheduler.
 struct RepairMemo {
-  Allocation lp;                  // the LP allocation the pass started from
-  std::vector<double> residual;   // per (pair, link of its tunnels), in order
-  Allocation repaired;
+  SolveStatus status = SolveStatus::kInfeasible;
+  Allocation repaired;  // the optimum; empty unless status is kOptimal
 };
 
 /// Caller-owned state chained across schedule() calls over a changing
@@ -113,12 +113,13 @@ struct RepairMemo {
 /// from the previous round's final basis, translated onto the new model by
 /// demand identity: admits add blocks, withdraws drop them, and every other
 /// demand's columns and rows, and every capacity row, keep their basis
-/// status. A demand's hard-repair result is reused when its repair inputs
-/// are bit-identical to its previous round's, so reuse changes no bit. The
-/// LP can land on another optimal vertex when it has ties, so what matches
-/// a cold solve is the objective (DESIGN.md Sec 5.1). Not thread-safe: one
-/// cache per call chain (schedule() itself stays const and thread-safe
-/// when called without a cache).
+/// status. It also keeps each demand's unconstrained repair, which the
+/// hard-repair pass takes whenever it fits the residual: then it is the
+/// capacitated optimum too, within the MILP's tolerances. The LP can land
+/// on another optimal vertex when it has ties, so what matches a cold
+/// solve is the objective (DESIGN.md Sec 5.1). Not thread-safe: one cache
+/// per call chain (schedule() itself stays const and thread-safe when
+/// called without a cache).
 struct ScheduleBasisCache {
   /// The last round's final basis, in and out of solve_lp.
   WarmStart lp;
@@ -126,8 +127,9 @@ struct ScheduleBasisCache {
   std::vector<Demand> demands;
   std::vector<DemandBlocks> blocks;
   std::vector<int> link_rows;
-  /// The last round's repair passes, by demand id; repeated ids are left
-  /// out.
+  /// Unconstrained repairs by demand id, for demands of `demands` whose id
+  /// is unique there. map_onto() drops the entries of demands that left or
+  /// changed; an infeasible LP round drops none.
   std::unordered_map<DemandId, RepairMemo> repairs;
 
   /// Translates lp.basis onto `model`, the model of `next` laid out as
@@ -137,8 +139,9 @@ struct ScheduleBasisCache {
   /// lost its basic column takes a surviving basic column whose row
   /// departed, failing that an unused slack; new rows start on their own
   /// slack, new columns nonbasic at their lower bound. When no structural
-  /// column maps, lp.basis is left empty and the solve runs cold. Returns
-  /// each demand's identity, index-aligned with `next`.
+  /// column maps, lp.basis is left empty and the solve runs cold. `repairs`
+  /// keeps only the ids that occur once in both sets with an equal Demand.
+  /// Returns each demand's identity, index-aligned with `next`.
   std::vector<DemandIdentity> map_onto(std::span<const Demand> next,
                                        const ScheduleLayout& layout,
                                        const Model& model);
@@ -162,8 +165,8 @@ class TrafficScheduler {
   /// Solves the scheduling LP for the given demand set against the full
   /// link capacities (or `capacity_override` when non-empty; indexed by
   /// LinkId). `basis`, when non-null, restarts the LP from the previous
-  /// call's basis, reuses unchanged repairs, and receives this call's basis
-  /// and repairs back (see ScheduleBasisCache).
+  /// call's basis, supplies and keeps unconstrained repairs, and receives
+  /// this call's basis back (see ScheduleBasisCache).
   ScheduleResult schedule(std::span<const Demand> demands,
                           std::span<const double> capacity_override = {},
                           ScheduleBasisCache* basis = nullptr) const;
@@ -206,9 +209,18 @@ class TrafficScheduler {
                                           const Demand& demand,
                                           const Allocation& alloc);
 
+  /// The hard-repair MILP of one demand (DESIGN.md Sec 5): the cheapest
+  /// allocation, at the LP's tunnel costs, that makes every pair whole in
+  /// patterns of total probability beta_d under demand_patterns(). When
+  /// `residual` is non-empty it bounds each pair's load on every link of
+  /// that pair's tunnel union, pair-major in tunnel_link_union() order;
+  /// empty leaves capacity out (the unconstrained repair).
+  RepairMemo solve_repair(const Demand& demand,
+                          std::span<const double> residual = {}) const;
+
  private:
-  /// `cache`, when non-null, supplies last round's repairs for kKept
-  /// demands and receives this round's.
+  /// `cache`, when non-null, supplies and keeps unconstrained repairs of
+  /// demands whose id is not repeated.
   void repair_hard_availability(std::span<const Demand> demands,
                                 ScheduleResult& result,
                                 std::span<const double> capacity_override,

@@ -143,11 +143,14 @@ void fnv(std::uint64_t& h, const T& value) {
 TEST_F(ControlPlaneFixture, SeededChurnRoundsArePinnedBitForBit) {
   // Every LP of a round runs through the one simplex engine: the warm LP
   // restart, the hard-repair branch & bound nodes and the admission probes.
-  // The digest covers every round's admitted ids, primaries bit for bit,
-  // and the solver work the round took, so a change to the engine that
-  // moves any pivot of any round changes it: an optimization meant to be
-  // bit-identical must keep the constant. The replay mixes single
-  // arrivals, bursts of 8 near the admission limit (rejects) and withdraws.
+  // Two digests cover every round. `alloc` hashes the admitted ids and the
+  // primaries bit for bit: it pins what the rounds decide, so a change
+  // meant to keep every verdict and rate must keep its constant. `work`
+  // hashes the solver work the round took, so a change to the engine that
+  // moves any pivot of any round changes it: a bit-identical optimization
+  // keeps both, one that saves solves but decides the same keeps `alloc`.
+  // The replay mixes single arrivals, bursts of 8 near the admission limit
+  // (rejects) and withdraws.
   obs::set_enabled(true);
   const std::int64_t nodes0 = counter("bate_bnb_nodes_solved_total");
   ControlPlane cp(scheduler, AdmissionStrategy::kBate);
@@ -157,7 +160,8 @@ TEST_F(ControlPlaneFixture, SeededChurnRoundsArePinnedBitForBit) {
   int rounds = 0;
   int rejected = 0;
   int withdrawn = 0;
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t alloc = 14695981039346656037ull;
+  std::uint64_t work = 14695981039346656037ull;
   for (int step = 0; step < 160; ++step) {
     const std::int64_t iterations0 = counter("bate_solver_iterations_total");
     const std::int64_t pivots0 = counter("bate_solver_pivots_total");
@@ -191,23 +195,26 @@ TEST_F(ControlPlaneFixture, SeededChurnRoundsArePinnedBitForBit) {
     }
     if (!ran) continue;
     ++rounds;
-    for (const Demand& d : cp.admitted()) fnv(h, d.id);
-    for (const Allocation& alloc : cp.primaries()) {
-      for (const std::vector<double>& rates : alloc) {
-        fnv(h, rates.size());
-        for (const double r : rates) fnv(h, r);
+    for (const Demand& d : cp.admitted()) fnv(alloc, d.id);
+    for (const Allocation& a : cp.primaries()) {
+      for (const std::vector<double>& rates : a) {
+        fnv(alloc, rates.size());
+        for (const double r : rates) fnv(alloc, r);
       }
     }
-    fnv(h, counter("bate_solver_iterations_total") - iterations0);
-    fnv(h, counter("bate_solver_pivots_total") - pivots0);
-    fnv(h, counter("bate_solver_dual_pivots_total") - dual0);
+    fnv(work, counter("bate_solver_iterations_total") - iterations0);
+    fnv(work, counter("bate_solver_pivots_total") - pivots0);
+    fnv(work, counter("bate_solver_dual_pivots_total") - dual0);
   }
   EXPECT_GT(rounds, 100);
   EXPECT_GT(rejected, 0) << "the replay never reached the admission limit";
   EXPECT_GT(withdrawn, 0);
   EXPECT_GT(counter("bate_bnb_nodes_solved_total") - nodes0, 0)
       << "no round ran a hard-repair node";
-  EXPECT_EQ(h, 0x06fa74d568791c12ull) << std::hex << "digest 0x" << h;
+  EXPECT_EQ(alloc, 0x11b81e10074657efull)
+      << std::hex << "allocation digest 0x" << alloc;
+  EXPECT_EQ(work, 0x06aa4d7dfa9b4ab4ull)
+      << std::hex << "solver-work digest 0x" << work;
 }
 
 }  // namespace

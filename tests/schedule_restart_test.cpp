@@ -1,9 +1,11 @@
 // Tests for the scheduling round's restart from the previous round
 // (ScheduleBasisCache, core/scheduling.h): the basis translated by demand
 // identity restarts every round after the first without a cold fallback and
-// reaches the cold objective; repair reuse changes no allocation bit; and
-// the translation's edge cases (slacks away from their own row, departed
-// columns in capacity rows, repeated and changed ids).
+// reaches the cold objective; kept unconstrained repairs change no
+// allocation bit and save their MILPs, and every repair matches a fresh
+// capacitated solve; and the translation's edge cases (slacks away from
+// their own row, departed columns in capacity rows, repeated and changed
+// ids).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,6 +75,15 @@ bool same_bits(const std::vector<Allocation>& a,
     }
   }
   return true;
+}
+
+Demand paper_demand(DemandId id, int pair, double mbps, double beta) {
+  Demand d;
+  d.id = id;
+  d.pairs = {{pair, mbps}};
+  d.availability_target = beta;
+  d.charge = mbps;
+  return d;
 }
 
 /// Seeded churn on testbed6: each step admits a batch of `burst` paper
@@ -196,35 +207,218 @@ TEST_F(RestartFixture, BurstsWithRejectsRestartWarmAtTheColdObjective) {
   EXPECT_GT(churn.rejected(), 0) << "the replay never reached the limit";
 }
 
-TEST_F(RestartFixture, RepairReuseIsBitIdenticalToRepairingAgain) {
-  // Two chains see the same rounds; one forgets its repairs before each.
-  // Their LP bases stay equal (repairs do not feed the LP), so every
-  // allocation must match bit for bit.
+TEST_F(RestartFixture, KeptRepairsGiveTheBitsOfRepairsSolvedAgain) {
+  // Two chains see the same rounds; one forgets its unconstrained repairs
+  // before each. Their LP bases stay equal (repairs do not feed the LP),
+  // so every allocation must match bit for bit. Each chain's branch &
+  // bound solves are its new unconstrained repairs plus its capacitated
+  // MILPs: with equal decisions the capacitated ones match, so a kept
+  // entry that fits costs the keeping chain no solve at all.
   const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
   AdmissionController adm(scheduler, AdmissionStrategy::kBate);
   Churn churn(catalog, 9003, 1, 10.0, 50.0, 60);
-  ScheduleBasisCache with_reuse;
-  ScheduleBasisCache without_reuse;
-  const std::int64_t reused0 = counter("bate_scheduler_repairs_reused_total");
-  std::int64_t reused_by_without = 0;
+  ScheduleBasisCache keep;
+  ScheduleBasisCache forget;
+  std::int64_t kept_fits = 0;
   for (int s = 0; s < 200; ++s) {
     if (!churn.step(adm)) continue;
-    const ScheduleResult a =
-        scheduler.schedule(adm.admitted(), {}, &with_reuse);
-    without_reuse.repairs.clear();
-    const std::int64_t before = counter("bate_scheduler_repairs_reused_total");
-    const ScheduleResult b =
-        scheduler.schedule(adm.admitted(), {}, &without_reuse);
-    reused_by_without +=
-        counter("bate_scheduler_repairs_reused_total") - before;
+    const std::vector<Demand>& set = adm.admitted();
+    const auto before = keep.repairs;
+    std::int64_t solves = counter("bate_bnb_solves_total");
+    const ScheduleResult a = scheduler.schedule(set, {}, &keep);
+    const std::int64_t keep_solves = counter("bate_bnb_solves_total") - solves;
+    forget.repairs.clear();
+    solves = counter("bate_bnb_solves_total");
+    const ScheduleResult b = scheduler.schedule(set, {}, &forget);
+    const std::int64_t forget_solves =
+        counter("bate_bnb_solves_total") - solves;
     ASSERT_EQ(a.feasible, b.feasible) << "step " << s;
     EXPECT_TRUE(same_bits(a.alloc, b.alloc)) << "step " << s;
-    EXPECT_EQ(with_reuse.lp.basis.basic, without_reuse.lp.basis.basic)
-        << "step " << s;
+    EXPECT_EQ(keep.lp.basis.basic, forget.lp.basis.basic) << "step " << s;
+
+    std::int64_t fresh = 0;
+    for (const auto& [id, memo] : keep.repairs) {
+      fresh += before.count(id) == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(keep_solves - fresh,
+              forget_solves - static_cast<std::int64_t>(forget.repairs.size()))
+        << "step " << s << ": the chains ran different capacitated MILPs";
+    for (std::size_t i = 0; i < set.size() && a.feasible; ++i) {
+      const auto it = before.find(set[i].id);
+      kept_fits += it != before.end() &&
+                   keep.repairs.count(set[i].id) != 0 &&
+                   it->second.status == SolveStatus::kOptimal &&
+                   same_bits({it->second.repaired}, {a.alloc[i]});
+    }
   }
-  EXPECT_EQ(reused_by_without, 0);
-  EXPECT_GT(counter("bate_scheduler_repairs_reused_total") - reused0, 0)
-      << "no round reused a repair: the check above proved nothing";
+  EXPECT_GT(kept_fits, 0)
+      << "no round took a kept repair: the checks above proved nothing";
+}
+
+TEST_F(RestartFixture, KeptRepairThatFitsSolvesNoMilpInLaterRounds) {
+  // A 0.9999 demand whose LP allocation misses its target needs a repair.
+  // Its unconstrained repair is solved in the first round; a best-effort
+  // neighbour on the same pair then moves the residual on its links every
+  // round, yet the repair still fits, so no later round solves a MILP.
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  const int pair = catalog.pair_index({0, 5});
+  const std::vector<Demand> alone = {paper_demand(1, pair, 40.0, 0.9999)};
+  const std::vector<Demand> shared = {alone[0],
+                                      paper_demand(2, pair, 5.0, 0.0)};
+  ScheduleBasisCache cache;
+  std::int64_t solves = counter("bate_bnb_solves_total");
+  ASSERT_TRUE(scheduler.schedule(alone, {}, &cache).feasible);
+  ASSERT_EQ(counter("bate_bnb_solves_total") - solves, 1)
+      << "the demand no longer needs a repair";
+  ASSERT_EQ(cache.repairs.count(1), 1u);
+  for (const auto* set : {&shared, &alone, &shared}) {
+    solves = counter("bate_bnb_solves_total");
+    const ScheduleResult r = scheduler.schedule(*set, {}, &cache);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(counter("bate_bnb_solves_total") - solves, 0)
+        << set->size() << " demands";
+    EXPECT_EQ(r.alloc[0], cache.repairs.at(1).repaired);
+    // An uncached call solves the same repair again and agrees.
+    EXPECT_EQ(scheduler.schedule(*set).alloc, r.alloc);
+  }
+}
+
+TEST_F(RestartFixture, ShortCapacityLeavesADemandBelowTarget) {
+  // With every link at 0.8x the demand, the LP still covers it, but no
+  // allocation meets 0.9999 with full bandwidth: the repair pass fails.
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  obs::Gauge& below =
+      obs::Registry::global().gauge("bate_scheduler_demands_below_target");
+  const std::vector<Demand> demands = {
+      paper_demand(1, catalog.pair_index({0, 5}), 40.0, 0.9999)};
+  const std::vector<double> capacity(
+      static_cast<std::size_t>(topo.link_count()), 0.8 * 40.0);
+  below.set(-1.0);
+  ASSERT_TRUE(scheduler.schedule(demands, capacity).feasible);
+  EXPECT_EQ(below.value(), -1.0) << "an uncached call is not a round";
+  ScheduleBasisCache cache;
+  const ScheduleResult r = scheduler.schedule(demands, capacity, &cache);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_GE(below.value(), 1.0);
+  const auto dp = scheduler.demand_patterns(demands[0]);
+  EXPECT_LT(TrafficScheduler::pattern_hard_availability(*dp, demands[0],
+                                                        r.alloc[0]),
+            0.9999);
+  ASSERT_TRUE(scheduler.schedule(demands, {}, &cache).feasible);
+  EXPECT_EQ(below.value(), 0.0) << "full capacity lets the repair through";
+}
+
+TEST_F(RestartFixture, SteadyChurnLeavesNoDemandBelowTarget) {
+  const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
+  obs::Gauge& below =
+      obs::Registry::global().gauge("bate_scheduler_demands_below_target");
+  AdmissionController adm(scheduler, AdmissionStrategy::kBate);
+  Churn churn(catalog, 9001, 1, 10.0, 50.0, 60);
+  int rounds = 0;
+  for (int s = 0; s < 300; ++s) {
+    below.set(-1.0);
+    if (!churn.step(adm)) continue;
+    ++rounds;
+    EXPECT_EQ(below.value(), 0.0) << "step " << s;
+  }
+  EXPECT_GT(rounds, 250);
+}
+
+/// Replays seeded contended churn (bursts of 8 at 30-150 Mbps) at `y` and
+/// checks every demand the hard-repair pass looked at against a fresh
+/// capacitated repair MILP over the residual the pass saw: the objective
+/// matches within 1e-9 relative, and the allocation meets beta_d whenever
+/// the fresh one does. A second chain without hard repair gives the LP
+/// allocation the pass started from (repairs do not feed the LP).
+void expect_repairs_match_fresh_solves(const Topology& topo,
+                                       const TunnelCatalog& catalog, int y,
+                                       std::uint64_t seed, int steps) {
+  SchedulerConfig cfg;
+  cfg.max_failures = y;
+  const TrafficScheduler scheduler(topo, catalog, cfg);
+  cfg.hard_repair = false;
+  const TrafficScheduler lp_only(topo, catalog, cfg);
+  AdmissionController adm(scheduler, AdmissionStrategy::kBate);
+  Churn churn(catalog, seed, 8, 30.0, 150.0, 60);
+  ScheduleBasisCache repaired_chain;
+  ScheduleBasisCache lp_chain;
+  int checked = 0;
+  int moved = 0;
+  for (int s = 0; s < steps; ++s) {
+    if (!churn.step(adm)) continue;
+    const std::vector<Demand>& set = adm.admitted();
+    const ScheduleResult r = scheduler.schedule(set, {}, &repaired_chain);
+    const ScheduleResult lp = lp_only.schedule(set, {}, &lp_chain);
+    ASSERT_EQ(r.feasible, lp.feasible) << "step " << s;
+    if (!r.feasible) continue;
+    std::vector<double> usage = link_usage(topo, catalog, set, lp.alloc);
+    const auto add = [&](const Demand& d, const Allocation& a, double sign) {
+      for (std::size_t p = 0; p < d.pairs.size(); ++p) {
+        const auto& tunnels = catalog.tunnels(d.pairs[p].pair);
+        for (std::size_t t = 0; t < tunnels.size(); ++t) {
+          for (const LinkId e : tunnels[t].links) {
+            usage[static_cast<std::size_t>(e)] += sign * a[p][t];
+          }
+        }
+      }
+    };
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      const Demand& d = set[i];
+      const auto dp = scheduler.demand_patterns(d);
+      const double beta = d.availability_target;
+      if (beta <= 0.0 ||
+          TrafficScheduler::pattern_hard_availability(*dp, d, lp.alloc[i]) +
+                  1e-9 >=
+              beta) {
+        EXPECT_EQ(r.alloc[i], lp.alloc[i]) << "step " << s << " demand " << i;
+        continue;
+      }
+      add(d, lp.alloc[i], -1.0);
+      std::vector<double> residual;
+      for (const PairDemand& pd : d.pairs) {
+        for (const LinkId e : tunnel_link_union(catalog.tunnels(pd.pair))) {
+          residual.push_back(std::max(
+              0.0, topo.link(e).capacity - usage[static_cast<std::size_t>(e)]));
+        }
+      }
+      const RepairMemo fresh = scheduler.solve_repair(d, residual);
+      ++checked;
+      if (fresh.status == SolveStatus::kInfeasible) {
+        EXPECT_EQ(r.alloc[i], lp.alloc[i]) << "step " << s << " demand " << i;
+      } else if (fresh.status == SolveStatus::kOptimal) {
+        const std::vector<Demand> one = {d};
+        const double want = lp_objective(scheduler, one, {fresh.repaired});
+        const double got = lp_objective(scheduler, one, {r.alloc[i]});
+        EXPECT_LE(std::abs(got - want), 1e-9 * std::max(1.0, std::abs(want)))
+            << "step " << s << " demand " << i << ": " << got << " vs "
+            << want;
+        if (TrafficScheduler::pattern_hard_availability(*dp, d,
+                                                        fresh.repaired) +
+                1e-9 >=
+            beta) {
+          EXPECT_GE(TrafficScheduler::pattern_hard_availability(*dp, d,
+                                                                r.alloc[i]) +
+                        1e-9,
+                    beta)
+              << "step " << s << " demand " << i;
+        }
+        moved += r.alloc[i] != lp.alloc[i];
+      }
+      add(d, r.alloc[i], 1.0);
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(moved, 0) << "no repair changed an allocation";
+}
+
+TEST_F(RestartFixture, ContendedRepairsMatchAFreshCapacitatedSolve) {
+  expect_repairs_match_fresh_solves(topo, catalog, 2, 9001, 160);
+}
+
+TEST_F(RestartFixture, ContendedRepairsOnB4MatchAFreshCapacitatedSolve) {
+  const Topology b4_topo = b4();
+  const TunnelCatalog b4_catalog = TunnelCatalog::build_all_pairs(b4_topo, 4);
+  expect_repairs_match_fresh_solves(b4_topo, b4_catalog, 3, 9002, 80);
 }
 
 TEST_F(RestartFixture, OnlyTheCachedChainCountsAsRounds) {
@@ -255,15 +449,6 @@ TEST_F(RestartFixture, OnlyTheCachedChainCountsAsRounds) {
 }
 
 // --- map_onto edge cases ------------------------------------------------
-
-Demand paper_demand(DemandId id, int pair, double mbps, double beta) {
-  Demand d;
-  d.id = id;
-  d.pairs = {{pair, mbps}};
-  d.availability_target = beta;
-  d.charge = mbps;
-  return d;
-}
 
 /// Index of old row `r` in the new model, or -1, by the same identity
 /// map_onto uses (demand blocks by id, capacity rows by link).
@@ -435,28 +620,26 @@ TEST_F(MapFixture, DepartedColumnInACapacityRowGivesWay) {
   EXPECT_NEAR(lp_objective(scheduler, next, warm.alloc), cold, 1e-6 * cold);
 }
 
-TEST_F(MapFixture, RepeatedAndChangedIdsMapAsNewWithoutRepairReuse) {
+TEST_F(MapFixture, RepeatedAndChangedIdsMapAsNewAndDropTheirRepair) {
   const TrafficScheduler scheduler(topo, catalog, SchedulerConfig{});
   const std::vector<Demand> demands = set();
   ScheduleBasisCache cache;
-  // Two rounds: the second restarts from the first. A third restarting
-  // from the second mostly sees the same LP bits, so some repair inputs
-  // repeat.
-  ASSERT_TRUE(scheduler.schedule(demands, {}, &cache).feasible);
   ASSERT_TRUE(scheduler.schedule(demands, {}, &cache).feasible);
   ASSERT_FALSE(cache.repairs.empty()) << "no demand needed a repair";
 
-  // Mark every remembered result so a reuse shows in the allocation. On
-  // the unchanged set the first demand in order whose inputs repeat reuses
-  // its mark (a mark moves the residual every later repair sees, so later
-  // ones need not repeat).
+  // Mark every kept repair with an all-zero allocation: it fits any
+  // residual, so a demand that takes its entry shows the mark. On the
+  // unchanged set every kept demand that needs a repair takes it.
   for (auto& [id, memo] : cache.repairs) {
+    memo.status = SolveStatus::kOptimal;
     for (auto& per_pair : memo.repaired) {
-      std::fill(per_pair.begin(), per_pair.end(), 12345.0);
+      std::fill(per_pair.begin(), per_pair.end(), 0.0);
     }
   }
   const auto marked = [](const Allocation& a) {
-    return !a.empty() && !a[0].empty() && a[0][0] == 12345.0;
+    return std::all_of(a.begin(), a.end(), [](const std::vector<double>& r) {
+      return std::all_of(r.begin(), r.end(), [](double f) { return f == 0.0; });
+    });
   };
   std::size_t at = demands.size();
   {
@@ -470,7 +653,8 @@ TEST_F(MapFixture, RepeatedAndChangedIdsMapAsNewWithoutRepairReuse) {
   ASSERT_LT(at, demands.size()) << "no repair was reused on the same set";
   const DemandId target = demands[at].id;
 
-  // Changed under a kept id (a field the model does not read): new.
+  // Changed under a kept id (a field the model does not read): new, and
+  // its entry is dropped and solved again.
   {
     std::vector<Demand> next = demands;
     next[at].charge += 1.0;
@@ -479,6 +663,7 @@ TEST_F(MapFixture, RepeatedAndChangedIdsMapAsNewWithoutRepairReuse) {
     ScheduleBasisCache probe = cache;
     const auto identity = probe.map_onto(next, layout, model);
     EXPECT_EQ(identity[at], DemandIdentity::kNew);
+    EXPECT_EQ(probe.repairs.count(target), 0u);
     const DemandBlocks& blk = layout.demands[at];
     const auto& status = probe.lp.basis.status;
     for (int k = 0; k < blk.g_count; ++k) {
@@ -494,6 +679,8 @@ TEST_F(MapFixture, RepeatedAndChangedIdsMapAsNewWithoutRepairReuse) {
     const ScheduleResult r = scheduler.schedule(next, {}, &c);
     ASSERT_TRUE(r.feasible);
     EXPECT_FALSE(marked(r.alloc[at]));
+    ASSERT_EQ(c.repairs.count(target), 1u);
+    EXPECT_FALSE(marked(c.repairs.at(target).repaired));
   }
 
   // Repeated: both copies are new, neither reuses, neither is remembered.
@@ -513,6 +700,18 @@ TEST_F(MapFixture, RepeatedAndChangedIdsMapAsNewWithoutRepairReuse) {
     EXPECT_FALSE(marked(r.alloc[at]));
     EXPECT_FALSE(marked(r.alloc.back()));
     EXPECT_EQ(c.repairs.count(target), 0u);
+  }
+
+  // An infeasible LP round keeps the entries of the demands it kept.
+  {
+    ScheduleBasisCache c = cache;
+    const std::vector<double> none(
+        static_cast<std::size_t>(topo.link_count()), 0.0);
+    ASSERT_FALSE(scheduler.schedule(demands, none, &c).feasible);
+    EXPECT_EQ(c.repairs.size(), cache.repairs.size());
+    const ScheduleResult r = scheduler.schedule(demands, {}, &c);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_TRUE(std::any_of(r.alloc.begin(), r.alloc.end(), marked));
   }
 }
 
